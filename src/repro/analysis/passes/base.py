@@ -28,10 +28,6 @@ class Violation:
     rule: str
     message: str
     hint: str = ""
-    #: stripped source text of the violating line; excluded from equality so
-    #: dedup/sorting ignore it.  Filled by the driver, used for baseline
-    #: matching (entries survive line-number drift) and SARIF snippets.
-    snippet: str = field(default="", compare=False)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}: {self.rule} {self.message}"

@@ -19,7 +19,8 @@ execution order (a message delivered by helper A may let helper B be
 spawned one event earlier or later), while the observable computation must
 not.  The raw order-sensitive :class:`EventTraceHasher` digest is expected
 to differ under perturbation; byte-identical *results* with a stable
-projection are the contract the goldens rely on.
+projection are the contract the goldens rely on.  A run with no public
+events (a memo replay, a stub) projects nothing and fails as vacuous.
 
 Exposed as ``repro sanitize --perturb``; the CI smoke runs it on ``fig7``
 and ``faults_pingpong`` and diffs the emitted result text against the
@@ -148,8 +149,13 @@ class PerturbReport:
     runs: List[PerturbRun] = field(default_factory=list)
 
     @property
+    def vacuous(self) -> bool:
+        """Some run, the baseline included, had no public event to project."""
+        return self.baseline_events == 0 or any(run.events == 0 for run in self.runs)
+
+    @property
     def passed(self) -> bool:
-        return all(
+        return not self.vacuous and all(
             run.result_identical
             and (
                 not self.require_projection
@@ -188,11 +194,12 @@ class PerturbReport:
             else "results byte-identical under adversarial tie-breaking, "
             "schedule projection stable"
         )
-        lines.append(
-            f"PASS (schedule-insensitive: {contract})"
-            if self.passed
-            else "FAIL (behaviour depends on same-timestamp event ordering)"
-        )
+        if self.vacuous:
+            lines.append("FAIL (vacuous: a run had 0 public events)")
+        elif self.passed:
+            lines.append(f"PASS (schedule-insensitive: {contract})")
+        else:
+            lines.append("FAIL (behaviour depends on same-timestamp event ordering)")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

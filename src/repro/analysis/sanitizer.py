@@ -8,7 +8,9 @@ configuration, every processed event is folded into an
 :class:`~repro.mpi.tracing.EventTraceHasher` via the
 :func:`repro.sim.core.install_trace_sink` hook, and the digests must be
 bit-identical.  The rendered result is folded in as well, so value-level
-divergence (same schedule, different numbers) also fails.
+divergence (same schedule, different numbers) also fails.  A run that
+processes no event at all (a memo replay, a stub) compares nothing and
+fails as vacuous.
 
 Exposed as ``repro sanitize <experiment>`` and used by the tier-1 suite.
 """
@@ -36,14 +38,27 @@ class SanitizeReport:
     def deterministic(self) -> bool:
         return len(set(self.hashes)) <= 1
 
+    @property
+    def vacuous(self) -> bool:
+        """Some run simulated nothing, so its hash proves nothing."""
+        return 0 in self.event_counts
+
+    @property
+    def passed(self) -> bool:
+        return self.deterministic and not self.vacuous
+
     def render(self) -> str:
         lines = [f"sanitize {self.experiment_id}: {len(self.hashes)} run(s)"]
         for i, (digest, count) in enumerate(zip(self.hashes, self.event_counts), start=1):
             lines.append(f"  run {i}: {count} events, trace hash {digest}")
-        verdict = "PASS (trace hashes identical)" if self.deterministic else (
-            "FAIL (trace hashes diverge: the experiment is not deterministic)"
-        )
-        lines.append(verdict)
+        if self.vacuous:
+            lines.append("FAIL (vacuous: a run processed 0 events)")
+        elif self.deterministic:
+            lines.append("PASS (trace hashes identical)")
+        else:
+            lines.append(
+                "FAIL (trace hashes diverge: the experiment is not deterministic)"
+            )
         return "\n".join(lines)
 
 

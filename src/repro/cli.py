@@ -20,13 +20,10 @@ Examples::
     repro flame fig10 --svg --out f.svg   # deterministic flamegraph SVG
     repro profile table7            # cProfile hotspot table of one experiment
     repro profile fig9 --record     # also log the top rows to the manifest
-    repro query fig7                # cached results + provenance, no re-run
-    repro index rebuild             # rescan .repro-cache/ into index.json
     repro cache stats               # entry count, bytes, last campaign hits
     repro faults list               # the named fault scenarios
     repro lint                      # lint src/repro for determinism hazards
     repro lint --rules              # print the rule catalog
-    repro lint --sarif lint.sarif   # write findings as a SARIF 2.1.0 log
     repro sanitize fig3             # double-run trace-hash determinism check
     repro sanitize fig7 --perturb   # adversarial same-timestamp reordering
     repro cache prune --max-size 256MB   # bound .repro-cache/, oldest first
@@ -163,33 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", action="store_true", help="print the rule catalog and exit"
     )
-    lint.add_argument(
-        "--sarif",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write findings as a SARIF 2.1.0 log to PATH ('-' or no value: stdout)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="suppression baseline to subtract (default: the checked-in "
-        "analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the suppression baseline",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings: rewrite the baseline file and exit 0 "
-        "(each entry still needs its justification filled in)",
-    )
-
     explain = sub.add_parser(
         "explain",
         help="diagnosis report: what the telemetry says about a figure",
@@ -314,58 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "same-timestamp matching order (table6/table7)",
     )
 
-    index = sub.add_parser(
-        "index", help="manage the artifact index over cached results"
-    )
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    rebuild = index_sub.add_parser(
-        "rebuild",
-        help="rescan the cache (and optional report dirs) into index.json",
-    )
-    rebuild.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default .repro-cache/)",
-    )
-    rebuild.add_argument(
-        "--out",
-        metavar="DIR",
-        action="append",
-        default=[],
-        help="also index json/ artifacts under a 'repro run --out' directory "
-        "(repeatable)",
-    )
-
-    query = sub.add_parser(
-        "query",
-        help="look up cached results and their provenance without re-running",
-    )
-    query.add_argument(
-        "pattern",
-        help="experiment / scenario / implementation substring, e.g. fig7, "
-        "madeleine, ray2mesh",
-    )
-    query.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default .repro-cache/)",
-    )
-    query.add_argument(
-        "--out",
-        metavar="DIR",
-        action="append",
-        default=[],
-        help="also search json/ artifacts under a 'repro run --out' directory "
-        "(repeatable)",
-    )
-    query.add_argument(
-        "--text",
-        action="store_true",
-        help="print each matching experiment's cached rendered report too",
-    )
-
     cache = sub.add_parser("cache", help="manage the .repro-cache/ result store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     stats = cache_sub.add_parser(
@@ -418,12 +336,6 @@ def _split_rules(text: "str | None") -> "list[str] | None":
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.baseline import (
-        BaselineError,
-        load_baseline,
-        partition,
-        write_baseline,
-    )
     from repro.analysis.linter import RULE_CATALOG, lint_paths, render_report
 
     if args.rules:
@@ -435,45 +347,8 @@ def _cmd_lint(args) -> int:
         select=_split_rules(args.select),
         ignore=_split_rules(args.ignore),
     )
-    if args.write_baseline:
-        path = write_baseline(violations, path=args.baseline)
-        print(f"wrote {len(violations)} entr{'y' if len(violations) == 1 else 'ies'} "
-              f"to {path}; fill in each justification")
-        return 0
-
-    matched: list = []
-    stale: list = []
-    if not args.no_baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        # Stale entries are only meaningful on a full-tree run: a partial
-        # lint legitimately misses entries for files it did not visit.
-        violations, matched, stale = partition(violations, entries)
-        if args.paths:
-            stale = []
-
-    if args.sarif is not None:
-        from repro.analysis.export import render_sarif, sarif_report
-
-        text = render_sarif(sarif_report(violations, baseline_matches=matched))
-        if args.sarif == "-":
-            print(text, end="")
-        else:
-            from pathlib import Path
-
-            Path(args.sarif).write_text(text, encoding="utf-8")
-            print(f"[sarif: {args.sarif}]", file=sys.stderr)
-    if args.sarif != "-":
-        print(render_report(violations))
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry.path}:{entry.line}: {entry.rule} "
-                "no longer fires — delete it"
-            )
-    return 1 if (violations or stale) else 0
+    print(render_report(violations))
+    return 1 if violations else 0
 
 
 def _cmd_sanitize(args) -> int:
@@ -505,7 +380,7 @@ def _cmd_sanitize(args) -> int:
 
     report = sanitize(args.experiment, fast=not args.full, runs=args.runs)
     print(report.render())
-    return 0 if report.deterministic else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_cache(args) -> int:
@@ -658,29 +533,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    from repro.runner.index import build_index
-
-    document = build_index(cache_root=args.root, out_dirs=args.out)
-    n = len(document.get("records", []))
-    print(f"indexed {n} artifact{'' if n == 1 else 's'}")
-    return 0
-
-
-def _cmd_query(args) -> int:
-    from repro.runner.index import artifact_text, query_index, render_query
-
-    records = query_index(args.pattern, cache_root=args.root, out_dirs=args.out)
-    print(render_query(args.pattern, records))
-    if args.text:
-        for record in records:
-            text = artifact_text(record)
-            if text:
-                print()
-                print(text)
-    return 0 if records else 1
-
-
 def _write_telemetry(campaign, trace_dir, metrics_dir) -> None:
     """Write per-experiment trace / metric exports for a telemetry campaign."""
     from pathlib import Path
@@ -736,10 +588,6 @@ def main(argv=None) -> int:
         return _cmd_faults(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "index":
-        return _cmd_index(args)
-    if args.command == "query":
-        return _cmd_query(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "flame":

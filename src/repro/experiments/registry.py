@@ -18,6 +18,7 @@ from repro.experiments import (
     fig11,
     fig12,
     fig13,
+    npb_runs,
     table1,
     table2,
     table3,
@@ -27,6 +28,7 @@ from repro.experiments import (
     table7,
 )
 from repro.experiments.base import ExperimentResult, ShardSpec
+from repro.npb import suite
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
 #: hosts two experiments); the entry's ``run`` is the experiment, and its
@@ -91,18 +93,25 @@ def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
 
 
 def clear_memos() -> None:
-    """Drop every experiment module's in-process memo (``clear_memo`` hook).
+    """Drop every in-process simulation memo.
 
     The sanitizers call this before each instrumented run: a warm memo
     replays no simulation, so a trace or schedule projection captured over
-    a memo hit would be vacuously empty and diverge from a cold run's
-    (see ``table6.ray2mesh_results``).  Campaign runners never call this —
-    serial table7 reusing table6's memo is intentional.
+    a memo hit would be vacuously empty and diverge from a cold run's.
+    Campaign runners never call this — serial table7 reusing table6's
+    memo is intentional.  A new module-level memo joins ``_MEMO_CLEARERS``.
     """
-    for module in MODULES.values():
-        clear = getattr(module, "clear_memo", None)
-        if clear is not None:
-            clear()
+    for clear in _MEMO_CLEARERS:
+        clear()
+
+
+#: every module-level memo: table6's ray2mesh site runs, the NPB run
+#: times, and the NPB known-failure locations
+_MEMO_CLEARERS: tuple[Callable[[], None], ...] = (
+    table6.clear_memo,
+    npb_runs.clear_cache,
+    suite.clear_failure_memo,
+)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ for flows whose rate materially changed (version tokens make stale timers
 inert), so an arrival or departure leaves the timers of unaffected flows
 untouched.
 
-The pre-rewrite full-network solver is kept verbatim as the oracle: set
-``REPRO_FLUID=legacy`` to route every recomputation through it (the
+The pre-rewrite full-network solver is kept verbatim as the oracle: a
+network with ``_legacy`` set routes every recomputation through it (the
 differential property test in ``tests/test_net_fluid.py`` drives both
 engines over randomized workloads).
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Iterable, Optional
 
 from repro.errors import NetworkConfigError
@@ -49,10 +48,6 @@ _EPS = 1e-12
 _RESIDUE_BITS = 1.0
 #: Never schedule a completion closer than this (guards clock stagnation).
 _MIN_ETA = 1e-12
-
-
-def _use_legacy_allocator() -> bool:
-    return os.environ.get("REPRO_FLUID", "") == "legacy"
 
 
 class Pipe:
@@ -253,7 +248,7 @@ class FluidNetwork:
         #: with the legacy allocator this equals ``recomputations``
         self.solve_rounds = 0
         self._flow_counter = 0
-        self._legacy = _use_legacy_allocator()
+        self._legacy = False
         #: cached component plan, patched in place across membership
         #: changes and rebuilt only when a mutation falls outside it
         self._plan: Optional[_ComponentPlan] = None

@@ -39,7 +39,7 @@ logger = logging.getLogger("repro.runner.cache")
 DEFAULT_CACHE_ROOT = Path(".repro-cache")
 
 #: files in the cache root that are not artifact entries
-RESERVED_NAMES = ("index.json", "stats.json")
+RESERVED_NAMES = ("stats.json",)
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent  # src/repro
 
@@ -343,7 +343,7 @@ def prune_cache(
                 _remove_quietly(path)
             continue
         if path.suffix != ".json" or path.name in RESERVED_NAMES:
-            continue  # the index/stats sidecars are not artifact entries
+            continue  # the stats sidecar is not an artifact entry
         try:
             stat = path.stat()
         except OSError:

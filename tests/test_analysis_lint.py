@@ -504,3 +504,17 @@ class TestDriver:
 
     def test_render_report_clean(self):
         assert render_report([]) == "repro lint: clean"
+
+    def test_session_gate_aborts_on_any_finding(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.analysis import linter, pytest_plugin
+        from repro.analysis.passes.base import Violation
+
+        finding = Violation("src/repro/x.py", 2, "DET001", "global RNG")
+        monkeypatch.setattr(linter, "lint_paths", lambda: [finding])
+        session = SimpleNamespace(
+            config=SimpleNamespace(getoption=lambda name, default=False: False)
+        )
+        with pytest.raises(pytest.UsageError, match="DET001"):
+            pytest_plugin.pytest_sessionstart(session)

@@ -98,7 +98,7 @@ class TestTraceHasher:
 class TestSanitize:
     def test_seeded_fixture_passes(self):
         report = sanitize(seeded_experiment)
-        assert report.deterministic
+        assert report.passed
         assert len(set(report.hashes)) == 1
         assert report.event_counts[0] == report.event_counts[1] > 0
         assert "PASS" in report.render()
@@ -130,11 +130,31 @@ class TestSanitize:
         with pytest.raises(ExperimentError):
             sanitize("fig99")
 
+    def test_zero_event_runs_fail_both_sanitizers(self):
+        from repro.analysis.perturb import perturb
+
+        def simulates_nothing(fast=True):
+            return _result("nothing", 0)
+
+        report = sanitize(simulates_nothing)
+        assert report.deterministic  # identical empty hashes...
+        assert not report.passed  # ...prove nothing
+        assert "vacuous" in report.render()
+        perturbed = perturb(simulates_nothing, seeds=(1,))
+        assert not perturbed.passed
+        assert "vacuous" in perturbed.render()
+
     def test_fig3_is_sanitizer_verified(self):
         """The acceptance criterion: fig3 twice with the same seed, hashes equal."""
         report = sanitize("fig3", fast=True)
-        assert report.deterministic, report.render()
+        assert report.passed, report.render()
         assert report.event_counts[0] == report.event_counts[1]
+
+    def test_fig11_is_sanitizer_verified(self):
+        """Both runs of an NPB figure simulate: the NPB memo is cleared."""
+        report = sanitize("fig11", fast=True)
+        assert report.passed, report.render()
+        assert report.event_counts[0] == report.event_counts[1] > 0
 
     def test_trace_experiment_returns_result(self):
         digest, events, result = trace_experiment(seeded_experiment)
@@ -148,12 +168,17 @@ class TestMemoClearing:
     replays no simulation, so the captured trace/projection would be empty."""
 
     def test_clear_memos_empties_table6_cache(self):
-        from repro.experiments import table6
+        from repro.experiments import npb_runs, table6
         from repro.experiments.registry import clear_memos
+        from repro.npb import suite
 
         table6._cache[("sentinel",)] = object()
+        npb_runs._cache[("sentinel",)] = 1.0
+        suite._failure_memo[("sentinel",)] = object()
         clear_memos()
         assert table6._cache == {}
+        assert npb_runs._cache == {}
+        assert suite._failure_memo == {}
 
     def test_trace_experiment_starts_cold(self):
         from repro.experiments import table6

@@ -134,18 +134,18 @@ def test_fast_goldens_exist_for_the_ci_diff():
     assert committed == sorted(f"{eid}.txt" for eid in EXPERIMENTS)
 
 
-def test_check_job_exports_and_uploads_sarif(workflow):
-    check = workflow["jobs"]["check"]
-    commands = _run_commands(check)
-    # findings are exported as a SARIF log and structurally validated...
-    assert "repro lint --sarif lint-results.sarif" in commands
-    assert "validate_sarif" in commands
-    # ...and uploaded as a workflow artifact (fail loudly if missing)
-    upload = next(
-        step for step in check["steps"] if "upload-artifact" in step.get("uses", "")
+def test_experiments_job_perturbs_fig11_under_the_full_gate(workflow):
+    commands = _run_commands(workflow["jobs"]["experiments"])
+    # the NPB grid figure is perturbed under the full projection gate (no
+    # --result-only) and its result diffed against the golden
+    line = next(
+        line.strip() for line in commands.splitlines() if "repro sanitize fig11" in line
     )
-    assert upload["with"]["path"] == "lint-results.sarif"
-    assert upload["with"]["if-no-files-found"] == "error"
+    assert line == (
+        "repro sanitize fig11 --perturb --seeds 3 --write-result /tmp/perturb/fig11.txt"
+    )
+    loop = next(line for line in commands.splitlines() if line.strip().startswith("for id in"))
+    assert "fig11" in loop.replace(";", " ").split()
 
 
 def test_experiments_job_runs_the_perturbation_smoke(workflow):

@@ -110,43 +110,6 @@ def test_lint_dirty_file_exits_one(tmp_path, capsys):
     assert "DET001" in capsys.readouterr().out
 
 
-def test_lint_sarif_stdout_is_valid(tmp_path, capsys):
-    import json as _json
-
-    from repro.analysis import validate_sarif
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    # --sarif with no value streams the log to stdout
-    assert main(["lint", str(dirty), "--sarif"]) == 1
-    report = _json.loads(capsys.readouterr().out)
-    assert validate_sarif(report) == []
-    assert [r["ruleId"] for r in report["runs"][0]["results"]] == ["DET001"]
-
-
-def test_lint_sarif_to_file(tmp_path, capsys):
-    import json as _json
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    out = tmp_path / "lint.sarif"
-    assert main(["lint", "--sarif", str(out), str(dirty)]) == 1
-    assert _json.loads(out.read_text())["version"] == "2.1.0"
-
-
-def test_lint_write_then_apply_baseline(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--baseline", str(baseline), "--write-baseline", str(dirty)]) == 0
-    capsys.readouterr()
-    # the finding is now suppressed by the baseline...
-    assert main(["lint", "--baseline", str(baseline), str(dirty)]) == 0
-    assert "clean" in capsys.readouterr().out
-    # ...but --no-baseline still reports it
-    assert main(["lint", "--baseline", str(baseline), "--no-baseline", str(dirty)]) == 1
-
-
 def test_sanitize_perturb_passes_on_real_experiment(tmp_path, capsys):
     out = tmp_path / "fig3.txt"
     assert main(
@@ -173,3 +136,19 @@ def test_cache_prune_cli(tmp_path, capsys):
 def test_cache_prune_bad_size_exits_two(capsys):
     assert main(["cache", "prune", "--max-size", "banana"]) == 2
     assert "size" in capsys.readouterr().err.lower()
+
+
+def test_cli_cache_stats(tmp_path, capsys):
+    from repro.runner.cache import ResultCache
+
+    cache = ResultCache(root=tmp_path, digest="digest-a")
+    cache.store("experiment/fig7", True, {"kind": "experiment", "experiment_id": "fig7"})
+    cache.store("npb/grid16/ft", True, {"kind": "shard", "payload": {}})
+    cache.hits, cache.misses, cache.stores = 3, 1, 1
+    cache.write_stats()
+    assert main(["cache", "stats", "--root", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 entries" in out
+    assert "experiment entries: 1" in out
+    assert "shard entries:      1" in out
+    assert "3 hits, 1 misses, 1 stored" in out

@@ -202,7 +202,7 @@ def test_many_sequential_flows_cleanup(env, net):
 # -- differential oracle: incremental allocator vs the legacy global solve ----
 #
 # The incremental allocator must agree with the pre-rewrite full-network
-# progressive filling (kept behind REPRO_FLUID=legacy) on arbitrary workload
+# progressive filling (selected by ``network._legacy``) on arbitrary workload
 # histories: flow starts and finishes, rate cap moves, capacity changes and
 # link flaps.  Rates may differ by float ulps (the two solvers associate the
 # fill arithmetic differently); completion times must match exactly, since
@@ -210,7 +210,7 @@ def test_many_sequential_flows_cleanup(env, net):
 
 
 def _drive_workload(seed, legacy):
-    """Run a randomized flow history; return (rate snapshots, completions)."""
+    """Run a randomized flow history; return (snapshots, completions, network)."""
     env = Environment()
     network = FluidNetwork(env)
     network._legacy = legacy
@@ -264,13 +264,16 @@ def _drive_workload(seed, legacy):
     # virtual time, and virtual seconds are cheap once the churn stops.
     env.run(until=300.0)
     assert not network.flows, "workload must drain within the horizon"
-    return snapshots, completions
+    return snapshots, completions, network
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_incremental_allocator_matches_legacy_oracle(seed):
-    legacy_snaps, legacy_done = _drive_workload(seed, legacy=True)
-    incr_snaps, incr_done = _drive_workload(seed, legacy=False)
+    legacy_snaps, legacy_done, legacy_net = _drive_workload(seed, legacy=True)
+    incr_snaps, incr_done, _ = _drive_workload(seed, legacy=False)
+
+    # The legacy side really ran the global solver: one solve per recompute.
+    assert legacy_net.solve_rounds == legacy_net.recomputations
 
     # Same flows complete, at exactly the same virtual times.
     assert incr_done == legacy_done
@@ -287,16 +290,6 @@ def test_incremental_allocator_matches_legacy_oracle(seed):
             assert incr_rate == pytest.approx(
                 legacy_rate, rel=1e-12, abs=1e-9
             ), f"rate of flow {uid} diverges at op {step}"
-
-
-def test_legacy_env_var_routes_to_global_solver(env, monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID", "legacy")
-    network = FluidNetwork(env)
-    assert network._legacy
-    pipe = Pipe("p", Gbps(1))
-    flow = network.start_flow("f", [pipe], MB)
-    env.run(until=flow.done)
-    assert network.solve_rounds == network.recomputations
 
 
 def test_incremental_reuses_component_plan(env, net):

@@ -534,7 +534,7 @@ def test_result_cache_prune_wrapper(tmp_path, tiny):
     assert entries
     report = cache.prune(max_bytes=0)
     assert report.kept == 0
-    # Only reserved sidecars (index/stats) may survive a full prune.
+    # Only the reserved stats sidecar may survive a full prune.
     survivors = {p.name for p in tmp_path.glob("*.json")}
     assert survivors <= set(RESERVED_NAMES)
 
