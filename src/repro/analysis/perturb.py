@@ -225,7 +225,7 @@ class PerturbReport:
 def _run_projected(
     runner: Callable, fast: bool, ranker: Optional[Callable[[int], int]]
 ) -> "tuple[str, int, str]":
-    # A warm experiment memo (table6/table7's shared ray2mesh runs) would
+    # A warm experiment memo (the NPB point times behind figs 10-13) would
     # satisfy the perturbed run without replaying the simulation, leaving an
     # empty projection that "diverges" from the cold baseline.  Every
     # projected run starts cold so the perturbation actually executes.

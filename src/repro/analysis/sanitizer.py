@@ -75,7 +75,7 @@ def trace_experiment(
 ) -> tuple[str, int, object]:
     """One instrumented run: ``(trace hash, event count, result)``."""
     experiment_id, runner = _resolve_runner(experiment)
-    # Memoised experiments (table6/table7's shared ray2mesh runs) replay no
+    # Memoised work (the NPB point times behind figs 10-13) replays no
     # simulation on a hit, which would make every run after the first hash
     # an empty trace — vacuously "deterministic".  Start cold.
     from repro.experiments.registry import clear_memos

@@ -1,33 +1,38 @@
 """Experiment result container and the sharding protocol.
 
-Every experiment module exposes ``run(fast=False) -> ExperimentResult``.
-Sweep-style experiments additionally expose the *shard hooks* consumed by
-the parallel runner (:mod:`repro.runner`):
+An experiment module exposes either ``run(fast=False) -> ExperimentResult``
+(an unsharded experiment, run whole) or the two *shard hooks* below (a
+sharded experiment, whose shard plan is its only definition):
 
 ``shards(fast=False) -> list[ShardSpec]``
     Decompose the experiment into independent units of work.  Each shard
     must be reproducible in a fresh process from its picklable ``params``
-    alone, and the decomposition must be *result-preserving*: merging the
-    shard payloads has to rebuild the exact ``ExperimentResult.text`` a
-    plain ``run()`` produces (the runner's tests assert byte-identity).
+    alone, so running the plan in-process or on the worker pool gives the
+    same payloads.
 
 ``merge(payloads, fast=False) -> ExperimentResult``
     Reassemble the result from ``{shard task_id: payload}``.  Runs in the
     orchestrating process; it must be cheap (table rendering, no
     simulation).
 
+The registry turns a plan into the experiment's callable (every shard
+runner in plan order, then ``merge``), and the campaign runner executes
+the same plan at every ``--jobs`` value, so serial and pooled runs agree
+by construction.
+
 Shard ``task_id``s are global, not per-experiment: two experiments that
 declare a shard with the same ``task_id`` (e.g. table6/table7 both needing
 the ray2mesh run for one master site, or figs 10/12/13 sharing the grid16
-NPB points) are deduplicated by the runner — the shard executes once and
-both merges see its payload.  Payloads must be JSON-serialisable so they
-can live in the on-disk result cache.
+NPB points) are deduplicated by the runner — the shard executes once per
+campaign and both merges see its payload.  Payloads must be
+JSON-serialisable so they can live in the on-disk result cache.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass
@@ -41,8 +46,6 @@ class ExperimentResult:
     rows: list[dict]
     #: rendered, human-readable report
     text: str
-    #: free-form extras (series, curves...)
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __str__(self) -> str:
         return self.text
@@ -78,3 +81,9 @@ class ShardSpec:
         from repro.runner.cache import spec_material
 
         return spec_material(self.runner, self.params)
+
+
+def resolve(dotted: str) -> Callable[..., Any]:
+    """The function a ``"package.module:function"`` reference names."""
+    module_name, _, func_name = dotted.partition(":")
+    return getattr(importlib.import_module(module_name), func_name)

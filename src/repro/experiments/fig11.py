@@ -15,12 +15,7 @@ def _rebrand(result: ExperimentResult) -> ExperimentResult:
         "Figure 11, §4.3",
         result.rows,
         result.text.replace("Fig. 10", "Fig. 11"),
-        extra=result.extra,
     )
-
-
-def run(fast: bool = False) -> ExperimentResult:
-    return _rebrand(fig10.run(fast=fast, placement_kind=PLACEMENT))
 
 
 def shards(fast: bool = False) -> list[ShardSpec]:

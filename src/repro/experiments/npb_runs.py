@@ -1,13 +1,14 @@
 """Shared, cached NPB executions for the Figure 10-13 experiments.
 
-Figures 10, 12 and 13 all consume the same grid-8+8 class-B runs, so the
-results are memoised per (benchmark, class, implementation, placement,
-environment, sampling) within one process.
+Figures 10, 12 and 13 all consume the same grid-8+8 points; a campaign
+runs each once because the three figures declare the same shard
+``task_id``.  :func:`npb_time` also memoises per (benchmark, class,
+implementation, placement, environment, sampling) within one process, for
+library callers that ask for the same point twice.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.experiments.environments import (
@@ -17,7 +18,6 @@ from repro.experiments.environments import (
     grid_placement,
 )
 from repro.npb import run_npb
-from repro.npb.common import BENCHMARK_NAMES
 from repro.obs import runtime as _obs
 
 #: paper order of the NPB bars (Figs. 10-13)
@@ -87,13 +87,10 @@ def bench_times(bench: str, placement_kind: str, fast: bool = False) -> dict[str
     cls, sample = npb_fast_config(fast)
     from repro.impls import IMPLEMENTATION_ORDER
 
-    # Telemetry track named after the shard task_id, so a serial figure run
-    # records into the same tracks a sharded campaign merges back.
-    with _obs.track(f"npb/{placement_kind}/{bench}"):
-        return {
-            name: npb_time(bench, name, placement_kind, cls=cls, sample_iters=sample)
-            for name in IMPLEMENTATION_ORDER
-        }
+    return {
+        name: npb_time(bench, name, placement_kind, cls=cls, sample_iters=sample)
+        for name in IMPLEMENTATION_ORDER
+    }
 
 
 def run_npb_point_shard(bench: str, placement_kind: str, fast: bool = False) -> dict:
@@ -124,15 +121,3 @@ def npb_point_shards(placement_kinds: "tuple[str, ...]") -> list:
 def shard_times(payloads: dict, placement_kind: str, bench: str) -> dict[str, float]:
     """Extract one point's per-impl times from merged shard payloads."""
     return payloads[f"npb/{placement_kind}/{bench}"]["times"]
-
-
-def relative_to_mpich2(
-    bench: str, impl_name: str, placement_kind: str, cls: str = "B", **kw
-) -> float:
-    """Figs. 10/11: time(MPICH2) / time(impl); > 1 means faster than the
-    reference, ``0`` when the implementation did not finish."""
-    ref = npb_time(bench, "mpich2", placement_kind, cls, **kw)
-    t = npb_time(bench, impl_name, placement_kind, cls, **kw)
-    if math.isinf(t):
-        return 0.0
-    return ref / t

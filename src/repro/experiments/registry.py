@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import ExperimentError
@@ -27,12 +28,13 @@ from repro.experiments import (
     table6,
     table7,
 )
-from repro.experiments.base import ExperimentResult, ShardSpec
+from repro.experiments.base import ExperimentResult, ShardSpec, resolve
 from repro.npb import suite
+from repro.obs.runtime import track as telemetry_track
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
-#: hosts two experiments); the entry's ``run`` is the experiment, and its
-#: optional ``shards``/``merge`` hooks are the sharding protocol
+#: hosts two experiments); the entry defines either ``run`` (an unsharded
+#: experiment) or the ``shards``/``merge`` hooks (see repro.experiments.base)
 MODULES: dict[str, Any] = {
     "table1": table1,
     "table2": table2,
@@ -55,8 +57,21 @@ MODULES: dict[str, Any] = {
     "coll_hier": coll_hier,
 }
 
+
+def run_plan(module: Any, fast: bool = False) -> ExperimentResult:
+    """Execute a sharded experiment in-process: each shard in plan order,
+    its telemetry in the track named after its ``task_id`` (the track a
+    pooled worker records into), then ``merge``."""
+    payloads: dict[str, Any] = {}
+    for shard in module.shards(fast=fast):
+        with telemetry_track(shard.task_id):
+            payloads[shard.task_id] = resolve(shard.runner)(fast=fast, **shard.params)
+    return module.merge(payloads, fast=fast)
+
+
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: module.run for experiment_id, module in MODULES.items()
+    experiment_id: partial(run_plan, module) if hasattr(module, "shards") else module.run
+    for experiment_id, module in MODULES.items()
 }
 
 
@@ -66,7 +81,7 @@ def experiment_module(experiment_id: str) -> Optional[str]:
     :data:`EXPERIMENTS` (tests), which fall back to whole-tree digests.
 
     Works for both real modules (``fig3``) and module-like namespaces
-    (``experiments.faults`` hosts two experiments whose ``run`` functions
+    (``experiments.faults`` hosts two experiments whose ``shards`` hooks
     carry the defining module).
     """
     entry = MODULES.get(experiment_id.lower())
@@ -75,8 +90,7 @@ def experiment_module(experiment_id: str) -> Optional[str]:
     name = getattr(entry, "__name__", None)
     if isinstance(name, str) and "." in name:
         return name
-    run = getattr(entry, "run", None)
-    return getattr(run, "__module__", None)
+    return getattr(getattr(entry, "shards", None), "__module__", None)
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -98,17 +112,17 @@ def clear_memos() -> None:
     The sanitizers call this before each instrumented run: a warm memo
     replays no simulation, so a trace or schedule projection captured over
     a memo hit would be vacuously empty and diverge from a cold run's.
-    Campaign runners never call this — serial table7 reusing table6's
-    memo is intentional.  A new module-level memo joins ``_MEMO_CLEARERS``.
+    Campaign runners never call this: they share work between experiments
+    through shard ``task_id`` deduplication, not memos.  A new
+    module-level memo joins ``_MEMO_CLEARERS``.
     """
     for clear in _MEMO_CLEARERS:
         clear()
 
 
-#: every module-level memo: table6's ray2mesh site runs, the NPB run
-#: times, and the NPB known-failure locations
+#: every module-level memo: the NPB run times and the NPB known-failure
+#: locations
 _MEMO_CLEARERS: tuple[Callable[[], None], ...] = (
-    table6.clear_memo,
     npb_runs.clear_cache,
     suite.clear_failure_memo,
 )
@@ -128,7 +142,7 @@ def get_shard_plan(experiment_id: str, fast: bool = False) -> Optional[ShardPlan
     """The experiment's shard decomposition, or ``None`` if it only runs whole.
 
     An experiment opts in by defining module-level ``shards``/``merge``
-    hooks next to its ``run`` (see :mod:`repro.experiments.base`).
+    hooks instead of ``run`` (see :mod:`repro.experiments.base`).
     Experiments registered directly in :data:`EXPERIMENTS` (tests do this)
     have no module entry and run whole.
     """

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro.apps import run_ray2mesh
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment
-from repro.obs import runtime as _obs
 from repro.report import Table
 
 SITES = ("nancy", "rennes", "sophia", "toulouse")
@@ -19,14 +18,6 @@ PAPER = {
     "sophia": (35375, 36562, 37344, 36438),
     "toulouse": (29750, 29875, 28875, 30312),
 }
-
-_cache: dict[tuple, object] = {}
-
-
-def clear_memo() -> None:
-    """Sanitizer hook (see ``registry.clear_memos``): force cold site runs."""
-    _cache.clear()
-
 
 @dataclass(frozen=True)
 class Ray2MeshSummary:
@@ -47,34 +38,17 @@ def _summarise(result) -> Ray2MeshSummary:
     )
 
 
-def ray2mesh_results(fast: bool = False) -> dict[str, Ray2MeshSummary]:
-    """One run per master site (memoised; Table 7 reuses them).
-
-    With a telemetry session active the memo is bypassed: a hit replays no
-    simulation and would record nothing, whereas recomputation is
-    deterministic and keeps serial exports byte-identical to a sharded
-    campaign's (whose fresh workers never see a warm memo).
-    """
-    key = ("ray2mesh", fast)
-    if key not in _cache or _obs.ACTIVE is not None:
-        _cache[key] = {site: _run_site(site, fast) for site in SITES}
-    return _cache[key]  # type: ignore[return-value]
-
-
 def _run_site(site: str, fast: bool) -> Ray2MeshSummary:
     env = get_environment("fully_tuned")
     total_rays = 100_000 if fast else 1_000_000
-    # Track named after the shard task_id (see ray2mesh_shards), aligning
-    # serial table runs with the sharded campaign's merged payloads.
-    with _obs.track(f"ray2mesh/{site}"):
-        return _summarise(
-            run_ray2mesh(
-                env.impl("mpich2"),
-                master_site=site,
-                total_rays=total_rays,
-                sysctls=env.sysctls,
-            )
+    return _summarise(
+        run_ray2mesh(
+            env.impl("mpich2"),
+            master_site=site,
+            total_rays=total_rays,
+            sysctls=env.sysctls,
         )
+    )
 
 
 # --- sharding (see repro.experiments.base) ---------------------------------------
@@ -146,10 +120,6 @@ def _result_from_runs(results: dict[str, Ray2MeshSummary]) -> ExperimentResult:
         rows,
         "\n".join([table.render(), note]),
     )
-
-
-def run(fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(ray2mesh_results(fast))
 
 
 def shards(fast: bool = False) -> list[ShardSpec]:

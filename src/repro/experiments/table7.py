@@ -6,7 +6,6 @@ from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.table6 import (
     SITES,
     Ray2MeshSummary,
-    ray2mesh_results,
     ray2mesh_shards,
     results_from_payloads,
 )
@@ -56,10 +55,6 @@ def _result_from_runs(results: "dict[str, Ray2MeshSummary]") -> ExperimentResult
         rows,
         "\n".join([table.render(), note]),
     )
-
-
-def run(fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(ray2mesh_results(fast))
 
 
 def shards(fast: bool = False) -> list[ShardSpec]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
 from repro.units import fmt_bytes
@@ -56,9 +56,7 @@ class EventTraceHasher:
         A sharded experiment produces one event-trace digest per shard; the
         experiment-level digest folds them in *sorted shard-key order* (never
         completion order) plus the merged rendered text, so the combined hash
-        is independent of worker scheduling.  It is, by construction, a
-        different value from the digest of an unsharded run — artifacts
-        record which mode produced theirs.
+        is independent of worker scheduling and of ``--jobs``.
         """
         hasher = cls()
         for key in sorted(named_digests):
@@ -76,10 +74,6 @@ class TrafficSummary:
     bytes: float
     min_size: int
     max_size: int
-
-    @property
-    def mean_size(self) -> float:
-        return self.bytes / self.messages if self.messages else 0.0
 
 
 class MessageTrace:

@@ -19,10 +19,10 @@ Design
 * **Tracks.**  Records land in the session's *current track* — a named
   bucket such as ``pingpong/grid/fully_tuned/openmpi``.  Tracks are the
   unit of parallel merging: a sharded experiment records each shard into
-  the track named after its shard ``task_id`` while the serial path
-  switches tracks at the same boundaries, so the exported telemetry is
-  byte-identical between a serial run and a ``--jobs N`` run (exporters
-  iterate tracks in sorted order, never completion order).
+  the track named after its shard ``task_id``, whether the shard runs on
+  a pool worker or in-process, so the exported telemetry is byte-identical
+  at every ``--jobs`` value (exporters iterate tracks in sorted order,
+  never completion order).
 
 * **Aggregation.**  Metrics are counters (monotonic sums), gauges (last
   write wins) and histograms (power-of-two bins), keyed by name plus a
@@ -112,10 +112,11 @@ class TrackData:
         #: steps until the next queue-depth sample (counts down from
         #: :data:`SIM_SAMPLE_EVERY`, so samples land on the same every-Nth
         #: step positions as the old modulo scheme at a decrement's cost).
-        #: Per *track*, not per session: a serial campaign (one session,
-        #: many tracks) and a parallel one (one session per shard) then
-        #: sample at the same offsets, which the serial==parallel export
-        #: byte-identity contract relies on.
+        #: Per *track*, not per session: a shard plan run in one session
+        #: (``run_experiment`` under a session: many tracks) and one run
+        #: with a session per shard (the campaign runner) then sample at
+        #: the same offsets, which the export byte-identity contract
+        #: relies on.
         self.sample_countdown = SIM_SAMPLE_EVERY
 
     @property
@@ -240,13 +241,6 @@ class TelemetrySession:
             for (n, _), value in t.counters.items()
             if n == name
         )
-
-    def gauge_value(self, name: str, **labels: Any) -> Optional[float]:
-        key = (name, _labels_key(labels))
-        for t in self.tracks.values():
-            if key in t.gauges:
-                return t.gauges[key]
-        return None
 
     def samples(self, name: str, lane_prefix: str = "") -> list[tuple[float, float]]:
         """All ``(ts, value)`` counter samples of ``name``, every track,

@@ -57,11 +57,9 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
                 "cached": run.cached,
                 "sharded": run.sharded,
                 "wall_s": round(run.wall_s, 3),
-                "trace_mode": run.trace_mode,
                 "trace_hash": run.trace_hash,
-                # Experiments that consumed the same shards / memoised
-                # work: their wall_s figures overlap (sharded) or this
-                # run's ~0 wall_s reused theirs (serial).
+                # Experiments that consumed the same shards: their wall_s
+                # figures overlap.
                 **(
                     {"shared_with": run.shared_with}
                     if run.shared_with

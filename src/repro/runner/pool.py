@@ -3,31 +3,30 @@
 Execution model
 ---------------
 A campaign is a list of :class:`ExperimentSpec`.  Each experiment is first
-looked up in the result cache; misses are executed either in-process
-(``jobs <= 1``, identical to the historical serial loop) or on a
-process-per-task engine governed by a :class:`RunnerPolicy`.
-
-On the parallel path, experiments that expose shard hooks (see
-:mod:`repro.experiments.base`) are decomposed: their shards run as
-individual tasks, deduplicated campaign-wide by ``task_id`` (table6 and
+looked up in the result cache; misses become one task list, the same at
+every ``jobs`` value.  A sharded experiment (see
+:mod:`repro.experiments.base`) contributes its shard plan: its shards run
+as individual tasks, deduplicated campaign-wide by ``task_id`` (table6 and
 table7 share the four ray2mesh runs; figs 10/12/13 share the grid16 NPB
-points), and merged back in the parent.  Shard payloads are cached by the
-*worker* that computed them — the parent passes its cache root and source
-digest down (the digest is computed exactly once per campaign) — so a
-completed shard survives even a parent crash and is never recomputed.
+points), and are merged back in the parent.  An unsharded experiment is
+one whole-experiment task.  With ``jobs <= 1`` the tasks run in-process,
+one after another; otherwise on a process-per-task engine governed by a
+:class:`RunnerPolicy`.  Shard payloads are cached by the task that
+computed them — the parent passes its cache root and source digest down
+(the digest is computed exactly once per campaign) — so a completed shard
+survives even a parent crash and is never recomputed.
 
 Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
 same hook the determinism sanitizer uses, so each artifact carries an
 event-trace hash.  A sharded experiment records the canonical combination
-of its shard hashes (:meth:`EventTraceHasher.combine`) — a different value
-from an unsharded run's hash, which is why artifacts record the trace
-*mode* alongside the digest.
+of its shard hashes (:meth:`EventTraceHasher.combine`).
 
 Robustness
 ----------
-Each task owns a dedicated worker process and a result pipe, which is what
-makes real fault handling possible (a shared ``ProcessPoolExecutor``
-cannot kill a hung task without poisoning the whole pool):
+On the pool, each task owns a dedicated worker process and a result pipe,
+which is what makes real fault handling possible (a shared
+``ProcessPoolExecutor`` cannot kill a hung task without poisoning the
+whole pool):
 
 * **timeouts** — a task that exceeds ``RunnerPolicy.timeout_s`` of wall
   clock is terminated (SIGTERM) and counted;
@@ -43,7 +42,6 @@ cannot kill a hung task without poisoning the whole pool):
 
 from __future__ import annotations
 
-import importlib
 import math
 import multiprocessing
 import time
@@ -117,17 +115,14 @@ class ExperimentRun:
     #: shards, including shards shared with other experiments)
     wall_s: float = 0.0
     #: other experiment ids this run shared work with (tables 6/7 share
-    #: the four ray2mesh runs): for a sharded run, experiments consuming
-    #: at least one common shard (whose wall time is counted in *both*
-    #: ``wall_s`` figures); for a serial run, experiments whose in-process
-    #: memo this run reused (which is why its own ``wall_s`` can be ~0).
+    #: the four ray2mesh runs): experiments consuming at least one common
+    #: shard, whose wall time is counted in *both* ``wall_s`` figures
     shared_with: list[str] = field(default_factory=list)
     text: str = ""
     rows: list = field(default_factory=list)
     title: str = ""
     paper_ref: str = ""
     trace_hash: str = ""
-    trace_mode: str = "serial"
     trace_events: int = 0
     error: Optional[str] = None
     #: merged telemetry payload (``repro.obs``); present only when the
@@ -152,7 +147,6 @@ class ExperimentRun:
             "wall_s": round(self.wall_s, 3),
             "shared_with": self.shared_with,
             "trace_hash": self.trace_hash,
-            "trace_mode": self.trace_mode,
             "trace_events": self.trace_events,
             "title": self.title,
             "paper_ref": self.paper_ref,
@@ -176,7 +170,6 @@ class ExperimentRun:
             title=artifact.get("title", ""),
             paper_ref=artifact.get("paper_ref", ""),
             trace_hash=artifact.get("trace_hash", ""),
-            trace_mode=artifact.get("trace_mode", "serial"),
             trace_events=int(artifact.get("trace_events", 0)),
             error=artifact.get("error"),
         )
@@ -247,11 +240,6 @@ class CampaignResult:
 
 
 # --- worker-side functions (module-level: picklable by reference) ----------------
-def _resolve(dotted: str) -> Callable[..., Any]:
-    module_name, _, func_name = dotted.partition(":")
-    return getattr(importlib.import_module(module_name), func_name)
-
-
 def _shard_worker(
     runner: str,
     params: dict,
@@ -269,17 +257,19 @@ def _shard_worker(
     source digest (computed once per campaign), and a completed shard
     survives even if the parent dies before collecting it.
     """
+    from repro.experiments.base import resolve
+
     started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
     config = TelemetryConfig.from_tuple(telemetry)
     sess = None
     with trace_capture() as hasher:
         if config is None:
-            payload = _resolve(runner)(fast=fast, **params)
+            payload = resolve(runner)(fast=fast, **params)
         else:
             # The shard's records default into the track named after its
-            # task_id — the same track the serial path switches to.
+            # task_id — the track registry.run_plan switches to in-process.
             with telemetry_session(config, default_track=task_id) as sess:
-                payload = _resolve(runner)(fast=fast, **params)
+                payload = resolve(runner)(fast=fast, **params)
     elapsed = time.monotonic() - started  # lint: disable=DET002
     artifact = {
         "kind": "shard",
@@ -385,18 +375,29 @@ def _run_tasks(
     tasks: list[_Task],
     jobs: int,
     policy: RunnerPolicy,
-    context,
 ) -> tuple[dict[tuple, tuple[str, Any]], int, int]:
-    """Supervise ``tasks`` on up to ``jobs`` worker processes.
+    """Run ``tasks``: in-process for ``jobs <= 1``, else supervised on up
+    to ``jobs`` worker processes.
 
     Returns ``(outcomes, retries, timeouts)`` where each outcome is
     ``("ok", payload)`` or ``("error", message)``.  Never raises for a
-    misbehaving task; the engine always drains.
+    failing task; the engine always drains.  In-process, a crash takes the
+    campaign down and a hung task cannot be killed, so the policy's
+    timeout and retries apply on the pool only.
     """
+    outcomes: dict[tuple, tuple[str, Any]] = {}
+    if jobs <= 1:
+        for task in tasks:
+            try:
+                outcomes[task.key] = ("ok", task.target(*task.args))
+            except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
+                outcomes[task.key] = ("error", _describe_error(exc))
+        return outcomes, 0, 0
+
+    context = multiprocessing.get_context(_START_METHOD)
     ready: list[_Task] = list(tasks)
     delayed: list[tuple[float, _Task]] = []  # (not-before, task) backoff queue
     running: list[_Running] = []
-    outcomes: dict[tuple, tuple[str, Any]] = {}
     n_retries = 0
     n_timeouts = 0
 
@@ -500,9 +501,8 @@ def _shard_sharers(
 ) -> dict[tuple[str, bool], list[str]]:
     """Per spec key, the other experiment ids consuming any common shard.
 
-    Derived from the shard plans alone, so it is the same answer for a
-    serial campaign (where sharing happens through in-process memos) and
-    a pooled one (where it happens through deduplicated shard tasks).
+    Derived from the shard plans alone: sharing happens through
+    deduplicated shard tasks, at every ``jobs`` value.
     """
     from repro.experiments.registry import get_shard_plan
 
@@ -537,7 +537,6 @@ def _run_from_worker_payload(spec: ExperimentSpec, payload: dict) -> ExperimentR
         title=payload["title"],
         paper_ref=payload["paper_ref"],
         trace_hash=payload["trace_hash"],
-        trace_mode="serial",
         trace_events=payload["trace_events"],
         telemetry=payload.get("telemetry"),
     )
@@ -551,30 +550,6 @@ def _failed_run(spec: ExperimentSpec, error: str, sharded: bool = False) -> Expe
         sharded=sharded,
         error=error,
     )
-
-
-def _run_serial(
-    misses: list[ExperimentSpec],
-    cache: ResultCache,
-    progress: Optional[Callable[[str], None]],
-    telemetry: "tuple[bool, bool] | None" = None,
-) -> dict[tuple[str, bool], ExperimentRun]:
-    """The historical one-at-a-time loop, minus its abort-on-first-error."""
-    runs: dict[tuple[str, bool], ExperimentRun] = {}
-    sharers = _shard_sharers(misses)
-    for spec in misses:
-        try:
-            payload = _experiment_worker(spec.experiment_id, spec.fast, telemetry)
-            run = _run_from_worker_payload(spec, payload)
-            # Record work sharing: a later experiment reusing an earlier
-            # one's in-process memo measures ~0 s of its own wall time,
-            # and the manifest entry should say why (table7 <- table6).
-            run.shared_with = sharers.get(spec.key, [])
-        except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
-            run = _failed_run(spec, _describe_error(exc))
-        _finish_run(run, cache, progress)
-        runs[spec.key] = run
-    return runs
 
 
 def _experiment_root(experiment_id: str) -> Optional[str]:
@@ -623,7 +598,7 @@ def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     tasks.sort(key=lambda task: (-estimate(task), task.label))
 
 
-def _run_parallel(
+def _run_misses(
     misses: list[ExperimentSpec],
     cache: ResultCache,
     jobs: int,
@@ -632,9 +607,11 @@ def _run_parallel(
     telemetry: "tuple[bool, bool] | None" = None,
     estimates: "dict[str, float] | None" = None,
 ) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
+    """Execute every cache miss: one deduplicated task list (shards plus
+    whole unsharded experiments), run in-process or on the pool, then
+    merge each sharded experiment from its shard artifacts."""
     from repro.experiments.registry import ShardPlan, get_shard_plan
 
-    context = multiprocessing.get_context(_START_METHOD)
     runs: dict[tuple[str, bool], ExperimentRun] = {}
     plans: dict[tuple[str, bool], ShardPlan] = {}
     tasks: list[_Task] = []
@@ -693,8 +670,9 @@ def _run_parallel(
                 )
             )
 
-    _order_by_cost(tasks, estimates or {})
-    outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy, context)
+    if jobs > 1:
+        _order_by_cost(tasks, estimates or {})
+    outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy)
     sharers = _shard_sharers(misses)
 
     for key, (status, payload) in outcomes.items():
@@ -782,10 +760,9 @@ def _merge_sharded(
         title=result.title,
         paper_ref=result.paper_ref,
         trace_hash=EventTraceHasher.combine(shard_hashes, result.text),
-        trace_mode="sharded",
         trace_events=events,
         # Sorted task_id order, independent of shard completion order —
-        # the serial==parallel telemetry byte-identity relies on it.
+        # the jobs-independence of telemetry exports relies on it.
         telemetry=(
             merge_payloads(
                 shard_telemetry[task_id] for task_id in sorted(shard_telemetry)
@@ -812,8 +789,8 @@ def run_campaign(
     ``cache`` may be injected (tests use a tmp root / pinned digest);
     otherwise a default :class:`ResultCache` under ``.repro-cache/`` is
     built with ``enabled=use_cache``.  ``policy`` tunes timeout/retry
-    handling on the parallel path; the serial path (``jobs <= 1``) runs
-    in-process, where a hung experiment cannot be killed.
+    handling on the pool; ``jobs <= 1`` runs the same tasks in-process,
+    where a hung task cannot be killed.
 
     ``estimates`` maps task ids (shard ``task_id``s and
     ``experiment/<id>``) to historical wall seconds; the parallel engine
@@ -862,13 +839,10 @@ def run_campaign(
             misses.append(spec)
 
     if misses:
-        if jobs <= 1:
-            runs.update(_run_serial(misses, cache, progress, telemetry_pair))
-        else:
-            parallel_runs, n_retries, n_timeouts, shard_walls = _run_parallel(
-                misses, cache, jobs, policy, progress, telemetry_pair, estimates
-            )
-            runs.update(parallel_runs)
+        miss_runs, n_retries, n_timeouts, shard_walls = _run_misses(
+            misses, cache, jobs, policy, progress, telemetry_pair, estimates
+        )
+        runs.update(miss_runs)
 
     ordered = [runs[spec.key] for spec in specs]
     if telemetry is not None and telemetry.spans:

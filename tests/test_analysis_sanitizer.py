@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import SanitizeReport, sanitize, trace_experiment
+from repro.analysis.sanitizer import sanitize, trace_experiment
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.mpi.tracing import EventTraceHasher
@@ -167,31 +167,29 @@ class TestMemoClearing:
     """Sanitized runs must start with cold experiment memos: a warm memo
     replays no simulation, so the captured trace/projection would be empty."""
 
-    def test_clear_memos_empties_table6_cache(self):
-        from repro.experiments import npb_runs, table6
+    def test_clear_memos_empties_every_memo(self):
+        from repro.experiments import npb_runs
         from repro.experiments.registry import clear_memos
         from repro.npb import suite
 
-        table6._cache[("sentinel",)] = object()
         npb_runs._cache[("sentinel",)] = 1.0
         suite._failure_memo[("sentinel",)] = object()
         clear_memos()
-        assert table6._cache == {}
         assert npb_runs._cache == {}
         assert suite._failure_memo == {}
 
     def test_trace_experiment_starts_cold(self):
-        from repro.experiments import table6
+        from repro.experiments import npb_runs
 
-        table6._cache[("sentinel",)] = object()
+        npb_runs._cache[("sentinel",)] = 1.0
         trace_experiment(seeded_experiment)
-        assert table6._cache == {}
+        assert npb_runs._cache == {}
 
     def test_perturb_runs_start_cold(self):
         from repro.analysis.perturb import perturb
-        from repro.experiments import table6
+        from repro.experiments import npb_runs
 
-        table6._cache[("sentinel",)] = object()
+        npb_runs._cache[("sentinel",)] = 1.0
         report = perturb(seeded_experiment, seeds=(1,))
         assert report.passed
-        assert table6._cache == {}
+        assert npb_runs._cache == {}

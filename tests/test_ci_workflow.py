@@ -134,18 +134,30 @@ def test_fast_goldens_exist_for_the_ci_diff():
     assert committed == sorted(f"{eid}.txt" for eid in EXPERIMENTS)
 
 
-def test_experiments_job_perturbs_fig11_under_the_full_gate(workflow):
+def _assert_perturbed_under_the_full_gate(workflow, experiment_id):
     commands = _run_commands(workflow["jobs"]["experiments"])
-    # the NPB grid figure is perturbed under the full projection gate (no
+    # the NPB figure is perturbed under the full projection gate (no
     # --result-only) and its result diffed against the golden
     line = next(
-        line.strip() for line in commands.splitlines() if "repro sanitize fig11" in line
+        line.strip()
+        for line in commands.splitlines()
+        if f"repro sanitize {experiment_id} " in line
     )
     assert line == (
-        "repro sanitize fig11 --perturb --seeds 3 --write-result /tmp/perturb/fig11.txt"
+        f"repro sanitize {experiment_id} --perturb --seeds 3 "
+        f"--write-result /tmp/perturb/{experiment_id}.txt"
     )
     loop = next(line for line in commands.splitlines() if line.strip().startswith("for id in"))
-    assert "fig11" in loop.replace(";", " ").split()
+    assert experiment_id in loop.replace(";", " ").split()
+
+
+def test_experiments_job_perturbs_fig11_under_the_full_gate(workflow):
+    _assert_perturbed_under_the_full_gate(workflow, "fig11")
+
+
+def test_experiments_job_perturbs_fig13_under_the_full_gate(workflow):
+    # fig13 carries the paper's "the grid is worth it" speedup claim
+    _assert_perturbed_under_the_full_gate(workflow, "fig13")
 
 
 def test_experiments_job_runs_the_perturbation_smoke(workflow):

@@ -1,8 +1,6 @@
 """Experiment-layer tests: every table/figure runs (fast mode) and shows
 the paper's qualitative shape."""
 
-import math
-
 import pytest
 
 from repro.errors import ExperimentError
@@ -14,6 +12,7 @@ from repro.experiments.environments import (
     pingpong_pair,
 )
 from repro.experiments.npb_runs import clear_cache, npb_time
+from repro.runner import ExperimentSpec, run_campaign
 from repro.units import MB
 
 
@@ -198,7 +197,14 @@ def test_npb_cache_reused(npb_results):
 # --- ray2mesh tables ---------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ray_tables():
-    return run_experiment("table6", fast=True), run_experiment("table7", fast=True)
+    # One campaign, so the four ray2mesh site shards run once for both tables.
+    campaign = run_campaign(
+        [ExperimentSpec("table6", fast=True), ExperimentSpec("table7", fast=True)],
+        jobs=1,
+        use_cache=False,
+    )
+    assert campaign.ok, campaign.summary()
+    return campaign.runs
 
 
 def test_table6_sophia_leads(ray_tables):

@@ -13,11 +13,13 @@ import os
 import pathlib
 import sys
 import time
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments import EXPERIMENTS, registry, run_experiment
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.registry import get_shard_plan
 from repro.runner import (
     ExperimentSpec,
@@ -126,7 +128,6 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
     run = campaign.runs[0]
     assert run.ok and run.sharded
     assert run.text == direct.text
-    assert run.trace_mode == "sharded"
     # the written report is the golden format: text + wall/fast footer
     written = (tmp_path / "out" / "fig6.txt").read_text()
     body, footer = written.rsplit("\n\n", 1)
@@ -141,58 +142,6 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
     assert warm.runs[0].cached and warm.runs[0].text == direct.text
 
 
-def test_npb_merge_is_identical_to_serial(monkeypatch):
-    # Prefill the NPB memo so neither path simulates anything; the test
-    # pins merge() to the serial rendering, value for value.
-    from repro.experiments import fig10, fig12, npb_runs
-    from repro.impls import IMPLEMENTATION_ORDER
-
-    cls, sample = npb_runs.npb_fast_config(True)
-    fake = {}
-    for placement in ("grid16", "cluster16"):
-        for i, bench in enumerate(npb_runs.NPB_ORDER):
-            for j, name in enumerate(IMPLEMENTATION_ORDER):
-                t = float("inf") if (i, j) == (2, 3) else 10.0 + i + 0.1 * j
-                fake[(bench, name, placement, cls, "fully_tuned", sample)] = t
-    monkeypatch.setattr(npb_runs, "_cache", fake)
-
-    for module in (fig10, fig12):
-        payloads = {
-            shard.task_id: npb_runs.run_npb_point_shard(fast=True, **shard.params)
-            for shard in module.shards(fast=True)
-        }
-        # JSON round-trip, as the shard cache would do
-        payloads = json.loads(json.dumps(payloads))
-        assert module.merge(payloads, fast=True).text == module.run(fast=True).text
-
-
-def test_ray2mesh_merge_is_identical_to_serial(monkeypatch):
-    from repro.experiments import table6, table7
-
-    fake = {
-        site: table6.Ray2MeshSummary(
-            rays_per_cluster={s: 1000 + 10 * i + j for j, s in enumerate(table6.SITES)},
-            comp_time=100.0 + i,
-            merge_time=50.0 + i,
-            total_time=150.0 + 2 * i,
-        )
-        for i, site in enumerate(table6.SITES)
-    }
-    monkeypatch.setattr(table6, "_cache", {("ray2mesh", True): fake})
-    payloads = {
-        f"ray2mesh/{site}": {
-            "rays_per_cluster": fake[site].rays_per_cluster,
-            "comp_time": fake[site].comp_time,
-            "merge_time": fake[site].merge_time,
-            "total_time": fake[site].total_time,
-        }
-        for site in table6.SITES
-    }
-    payloads = json.loads(json.dumps(payloads))
-    assert table6.merge(payloads, fast=True).text == table6.run(fast=True).text
-    assert table7.merge(payloads, fast=True).text == table7.run(fast=True).text
-
-
 def test_shard_plans_dedupe_across_experiments():
     t6 = [s.task_id for s in get_shard_plan("table6", fast=True).shards]
     t7 = [s.task_id for s in get_shard_plan("table7", fast=True).shards]
@@ -205,6 +154,56 @@ def test_shard_plans_dedupe_across_experiments():
 
 def test_unsharded_experiments_have_no_plan():
     assert get_shard_plan("table1", fast=True) is None
+
+
+#: tags of the shards :func:`_counted_shard` executed in this process
+_SHARD_CALLS: list[str] = []
+
+
+def _counted_shard(tag: str, fast: bool = False) -> dict:
+    _SHARD_CALLS.append(tag)
+    return {"tag": tag}
+
+
+def _plan_experiment(experiment_id: str, tags: tuple[str, ...]) -> SimpleNamespace:
+    """A sharded experiment whose shards are ``dedup/<tag>`` tasks."""
+
+    def shards(fast=False):
+        return [
+            ShardSpec(
+                task_id=f"dedup/{tag}",
+                runner=f"{__name__}:_counted_shard",
+                params={"tag": tag},
+            )
+            for tag in tags
+        ]
+
+    def merge(payloads, fast=False):
+        text = " ".join(payloads[f"dedup/{tag}"]["tag"] for tag in tags)
+        return ExperimentResult(experiment_id, experiment_id, "-", [], text)
+
+    return SimpleNamespace(shards=shards, merge=merge)
+
+
+def test_serial_campaign_runs_a_shared_shard_once(tmp_path, monkeypatch):
+    for experiment_id, tags in (("left", ("shared", "left")), ("right", ("shared", "right"))):
+        module = _plan_experiment(experiment_id, tags)
+        monkeypatch.setitem(registry.MODULES, experiment_id, module)
+        monkeypatch.setitem(EXPERIMENTS, experiment_id, partial(registry.run_plan, module))
+    _SHARD_CALLS.clear()
+    campaign = run_campaign(
+        [ExperimentSpec("left", fast=True), ExperimentSpec("right", fast=True)],
+        jobs=1,
+        cache=ResultCache(root=tmp_path, digest="digest-a", enabled=False),
+    )
+    assert campaign.ok
+    assert sorted(_SHARD_CALLS) == ["left", "right", "shared"]
+    assert [run.text for run in campaign.runs] == ["shared left", "shared right"]
+    assert [run.shared_with for run in campaign.runs] == [["right"], ["left"]]
+    # The in-process executor runs the same plan, one experiment at a time.
+    _SHARD_CALLS.clear()
+    assert run_experiment("right", fast=True).text == "shared right"
+    assert _SHARD_CALLS == ["shared", "right"]
 
 
 # --- failure surfacing ------------------------------------------------------------
