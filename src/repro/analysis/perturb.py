@@ -225,13 +225,6 @@ class PerturbReport:
 def _run_projected(
     runner: Callable, fast: bool, ranker: Optional[Callable[[int], int]]
 ) -> "tuple[str, int, str]":
-    # A warm experiment memo (the NPB point times behind figs 10-13) would
-    # satisfy the perturbed run without replaying the simulation, leaving an
-    # empty projection that "diverges" from the cold baseline.  Every
-    # projected run starts cold so the perturbation actually executes.
-    from repro.experiments.registry import clear_memos
-
-    clear_memos()
     projection = ScheduleProjection()
     with trace_capture(hasher=projection), tie_ranker(ranker):
         result = runner(fast=fast)

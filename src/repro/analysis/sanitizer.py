@@ -73,14 +73,13 @@ def _resolve_runner(experiment: "str | Callable") -> tuple[str, Callable]:
 def trace_experiment(
     experiment: "str | Callable", fast: bool = True
 ) -> tuple[str, int, object]:
-    """One instrumented run: ``(trace hash, event count, result)``."""
-    experiment_id, runner = _resolve_runner(experiment)
-    # Memoised work (the NPB point times behind figs 10-13) replays no
-    # simulation on a hit, which would make every run after the first hash
-    # an empty trace — vacuously "deterministic".  Start cold.
-    from repro.experiments.registry import clear_memos
+    """One instrumented run: ``(trace hash, event count, result)``.
 
-    clear_memos()
+    A registry experiment runs its shard plan, every shard from cold memos
+    (:func:`repro.experiments.registry.execute_shard`), so no run replays
+    the previous one's simulation.
+    """
+    experiment_id, runner = _resolve_runner(experiment)
     with trace_capture() as hasher:
         result = runner(fast=fast)
     # Fold the rendered output in: same schedule + different values is

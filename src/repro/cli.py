@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bench",
         metavar="PATH",
         default=None,
-        help="timing manifest location (default BENCH_experiments.json for "
-        "multi-experiment campaigns)",
+        help="append this campaign's timings to the manifest at PATH "
+        "(e.g. BENCH_experiments.json); without it no manifest is written",
     )
     run.add_argument(
         "--trace",
@@ -659,7 +659,7 @@ def main(argv=None) -> int:
     for run in campaign.failures:
         print(f"[{run.experiment_id}: FAILED — {run.error}]", file=sys.stderr)
     print(f"[{campaign.cache_summary()}]", file=sys.stderr)
-    if args.bench is not None or len(ids) > 1 or args.out:
+    if args.bench is not None:
         record_campaign(campaign, path=args.bench, label="repro run")
     return 0 if campaign.ok else 1
 

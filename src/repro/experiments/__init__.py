@@ -1,6 +1,7 @@
 """One experiment per table/figure of the paper's evaluation.
 
-Every experiment is a callable ``run(fast=False)`` returning an
+Every experiment is a shard plan (see :mod:`repro.experiments.base`);
+``run_experiment(id, fast=False)`` runs it in-process and returns an
 :class:`~repro.experiments.base.ExperimentResult` with structured rows
 and a rendered text report that prints the reproduced numbers next to
 the paper's.  ``fast=True`` shrinks repeats/problem classes for CI; the

@@ -1,14 +1,16 @@
 """Experiment result container and the sharding protocol.
 
-An experiment module exposes either ``run(fast=False) -> ExperimentResult``
-(an unsharded experiment, run whole) or the two *shard hooks* below (a
-sharded experiment, whose shard plan is its only definition):
+Every experiment module defines its *shard plan* through two hooks, and
+the plan is the experiment's only definition:
 
 ``shards(fast=False) -> list[ShardSpec]``
     Decompose the experiment into independent units of work.  Each shard
     must be reproducible in a fresh process from its picklable ``params``
     alone, so running the plan in-process or on the worker pool gives the
-    same payloads.
+    same payloads.  An experiment that is one indivisible run (tables 1-5,
+    Fig. 9) declares a single shard whose ``task_id`` is the experiment id
+    and whose payload is the result's ``title``/``paper_ref``/``rows``/
+    ``text``.
 
 ``merge(payloads, fast=False) -> ExperimentResult``
     Reassemble the result from ``{shard task_id: payload}``.  Runs in the
@@ -16,9 +18,10 @@ sharded experiment, whose shard plan is its only definition):
     simulation).
 
 The registry turns a plan into the experiment's callable (every shard
-runner in plan order, then ``merge``), and the campaign runner executes
-the same plan at every ``--jobs`` value, so serial and pooled runs agree
-by construction.
+runner in plan order, then ``merge``), and the campaign runner executes,
+caches and schedules the same shards at every ``--jobs`` value, so serial
+and pooled runs agree by construction.  Every shard starts with cold
+in-process memos (:func:`repro.experiments.registry.execute_shard`).
 
 Shard ``task_id``s are global, not per-experiment: two experiments that
 declare a shard with the same ``task_id`` (e.g. table6/table7 both needing

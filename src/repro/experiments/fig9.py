@@ -9,7 +9,7 @@ around 2 s while the unpaced implementations need about 4 s.
 from __future__ import annotations
 
 from repro.apps.pingpong import mpi_stream, tcp_stream
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, pingpong_pair
 from repro.impls import IMPLEMENTATION_ORDER
 from repro.report import Table, line_chart
@@ -19,7 +19,8 @@ PAPER_T500 = {"TCP": 2.0, "MPICH2": 4.0, "GridMPI": 2.0,
               "MPICH-Madeleine": 4.0, "OpenMPI": 4.0}
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     env = get_environment("fully_tuned")
     net, a, b = pingpong_pair("grid")
     count = 80 if fast else 250
@@ -59,10 +60,17 @@ def run(fast: bool = False) -> ExperimentResult:
         title="per-message bandwidth vs time",
         y_label="Mbps",
     )
-    return ExperimentResult(
-        "fig9",
-        "Fig. 9: slow-start impact on the grid",
-        "Figure 9, §4.2.3",
-        rows,
-        "\n".join([table.render(), "", chart]),
-    )
+    return {
+        "title": "Fig. 9: slow-start impact on the grid",
+        "paper_ref": "Figure 9, §4.2.3",
+        "rows": rows,
+        "text": "\n".join([table.render(), "", chart]),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="fig9", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("fig9", **payloads["fig9"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -33,8 +33,8 @@ from repro.npb import suite
 from repro.obs.runtime import track as telemetry_track
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
-#: hosts two experiments); the entry defines either ``run`` (an unsharded
-#: experiment) or the ``shards``/``merge`` hooks (see repro.experiments.base)
+#: hosts two experiments), each defining the ``shards``/``merge`` hooks of
+#: its shard plan (see repro.experiments.base)
 MODULES: dict[str, Any] = {
     "table1": table1,
     "table2": table2,
@@ -58,39 +58,32 @@ MODULES: dict[str, Any] = {
 }
 
 
+def execute_shard(shard: ShardSpec, fast: bool = False) -> Any:
+    """Run one shard from cold memos and return its payload.
+
+    The one place work starts, whether :func:`run_plan` runs the plan
+    in-process or a campaign runs the shard as a task: a memo left warm by
+    an earlier shard would replay no simulation, so the shard's trace, wall
+    and telemetry would depend on what ran before it in the process.
+    """
+    clear_memos()
+    return resolve(shard.runner)(fast=fast, **shard.params)
+
+
 def run_plan(module: Any, fast: bool = False) -> ExperimentResult:
-    """Execute a sharded experiment in-process: each shard in plan order,
-    its telemetry in the track named after its ``task_id`` (the track a
-    pooled worker records into), then ``merge``."""
+    """Execute an experiment's shard plan in-process: each shard in plan
+    order, its telemetry in the track named after its ``task_id`` (the
+    track a pooled worker records into), then ``merge``."""
     payloads: dict[str, Any] = {}
     for shard in module.shards(fast=fast):
         with telemetry_track(shard.task_id):
-            payloads[shard.task_id] = resolve(shard.runner)(fast=fast, **shard.params)
+            payloads[shard.task_id] = execute_shard(shard, fast)
     return module.merge(payloads, fast=fast)
 
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: partial(run_plan, module) if hasattr(module, "shards") else module.run
-    for experiment_id, module in MODULES.items()
+    experiment_id: partial(run_plan, module) for experiment_id, module in MODULES.items()
 }
-
-
-def experiment_module(experiment_id: str) -> Optional[str]:
-    """Dotted module defining ``experiment_id`` — the dependency root for
-    its cache key — or ``None`` for ids injected directly into
-    :data:`EXPERIMENTS` (tests), which fall back to whole-tree digests.
-
-    Works for both real modules (``fig3``) and module-like namespaces
-    (``experiments.faults`` hosts two experiments whose ``shards`` hooks
-    carry the defining module).
-    """
-    entry = MODULES.get(experiment_id.lower())
-    if entry is None:
-        return None
-    name = getattr(entry, "__name__", None)
-    if isinstance(name, str) and "." in name:
-        return name
-    return getattr(getattr(entry, "shards", None), "__module__", None)
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -109,11 +102,10 @@ def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
 def clear_memos() -> None:
     """Drop every in-process simulation memo.
 
-    The sanitizers call this before each instrumented run: a warm memo
-    replays no simulation, so a trace or schedule projection captured over
-    a memo hit would be vacuously empty and diverge from a cold run's.
-    Campaign runners never call this: they share work between experiments
-    through shard ``task_id`` deduplication, not memos.  A new
+    :func:`execute_shard` calls this before every shard, so every run of an
+    experiment — a campaign at any ``--jobs``, :func:`run_experiment`, the
+    sanitizers — starts cold.  Work is shared between experiments through
+    shard ``task_id`` deduplication, never through a memo.  A new
     module-level memo joins ``_MEMO_CLEARERS``.
     """
     for clear in _MEMO_CLEARERS:
@@ -138,22 +130,12 @@ class ShardPlan:
     merge: Callable[..., ExperimentResult]
 
 
-def get_shard_plan(experiment_id: str, fast: bool = False) -> Optional[ShardPlan]:
-    """The experiment's shard decomposition, or ``None`` if it only runs whole.
-
-    An experiment opts in by defining module-level ``shards``/``merge``
-    hooks instead of ``run`` (see :mod:`repro.experiments.base`).
-    Experiments registered directly in :data:`EXPERIMENTS` (tests do this)
-    have no module entry and run whole.
-    """
+def get_shard_plan(experiment_id: str, fast: bool = False) -> ShardPlan:
+    """The experiment's shard decomposition (see :mod:`repro.experiments.base`)."""
     get_experiment(experiment_id)  # raise ExperimentError for unknown ids
-    module = MODULES.get(experiment_id.lower())
-    shards = getattr(module, "shards", None)
-    merge = getattr(module, "merge", None)
-    if shards is None or merge is None:
-        return None
+    module = MODULES[experiment_id.lower()]
     return ShardPlan(
         experiment_id=experiment_id.lower(),
-        shards=tuple(shards(fast=fast)),
-        merge=merge,
+        shards=tuple(module.shards(fast=fast)),
+        merge=module.merge,
     )

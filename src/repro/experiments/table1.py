@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.impls import EXTENDED_IMPLEMENTATIONS
 from repro.report import Table
 
@@ -10,7 +10,8 @@ from repro.report import Table
 TABLE1_ORDER = ("mpich2", "gridmpi", "madeleine", "openmpi", "mpichg2", "mpichvmi")
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     table = Table(
         ["implementation", "long-distance optimisations", "heterogeneity", "first / last publication"],
         title="Table 1: MPI implementation features",
@@ -29,10 +30,17 @@ def run(fast: bool = False) -> ExperimentResult:
                 "publications": pubs,
             }
         )
-    return ExperimentResult(
-        "table1",
-        "Table 1: implementation feature matrix",
-        "Table 1, §2.1.7",
-        rows,
-        table.render(),
-    )
+    return {
+        "title": "Table 1: implementation feature matrix",
+        "paper_ref": "Table 1, §2.1.7",
+        "rows": rows,
+        "text": table.render(),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="table1", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("table1", **payloads["table1"])

@@ -11,7 +11,7 @@ split are the comparison targets.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, grid_placement
 from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
 from repro.npb import COMM_TYPE, run_npb
@@ -48,7 +48,8 @@ def _scale_factor(bench: str, cls: str, sample) -> float:
     return total / min(sample, total)
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     env = get_environment("fully_tuned")
     cls = "A" if fast else "B"
     network, placement = grid_placement(16)
@@ -88,10 +89,17 @@ def run(fast: bool = False) -> ExperimentResult:
                 "paper": PAPER[bench],
             }
         )
-    return ExperimentResult(
-        "table2",
-        "Table 2: NPB communication features",
-        "Table 2, §3.1",
-        rows,
-        table.render(),
-    )
+    return {
+        "title": "Table 2: NPB communication features",
+        "paper_ref": "Table 2, §3.1",
+        "rows": rows,
+        "text": table.render(),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="table2", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("table2", **payloads["table2"])

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.net.grid5000 import HOST_SPECS
 from repro.report import Table
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     table = Table(
         ["", "Rennes", "Nancy"],
         title="Table 3: host specifications",
@@ -28,6 +29,17 @@ def run(fast: bool = False) -> ExperimentResult:
     for label, r, n in fields:
         table.add_row([label, r, n])
         rows.append({"field": label, "rennes": r, "nancy": n})
-    return ExperimentResult(
-        "table3", "Table 3: host specifications", "Table 3, §3.2", rows, table.render()
-    )
+    return {
+        "title": "Table 3: host specifications",
+        "paper_ref": "Table 3, §3.2",
+        "rows": rows,
+        "text": table.render(),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="table3", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("table3", **payloads["table3"])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.apps.pingpong import mpi_pingpong, tcp_pingpong
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, pingpong_pair
 from repro.impls import IMPLEMENTATION_ORDER
 from repro.report import Table
@@ -19,7 +19,8 @@ PAPER = {
 }
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     env = get_environment("fully_tuned")
     repeats = 5 if fast else 200
     measured: dict[str, tuple[float, float]] = {}
@@ -57,6 +58,17 @@ def run(fast: bool = False) -> ExperimentResult:
                 "paper_grid_us": p_grid,
             }
         )
-    return ExperimentResult(
-        "table4", "Table 4: latency comparison", "Table 4, §4.1", rows, table.render()
-    )
+    return {
+        "title": "Table 4: latency comparison",
+        "paper_ref": "Table 4, §4.1",
+        "rows": rows,
+        "text": table.render(),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="table4", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("table4", **payloads["table4"])

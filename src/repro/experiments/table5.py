@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, pingpong_pair
 from repro.impls import ALL_IMPLEMENTATIONS, IMPLEMENTATION_ORDER
 from repro.report import Table
@@ -28,7 +28,8 @@ SWEEP_SIZES_FAST = (256 * KB, MB)
 SWEEP_SIZES_FULL = (128 * KB, 256 * KB, 512 * KB, MB, 4 * MB, 16 * MB)
 
 
-def run(fast: bool = False) -> ExperimentResult:
+def run_shard(fast: bool = False) -> dict:
+    """The whole experiment, as its single shard's JSON payload."""
     env = get_environment("tcp_tuned")
     sizes = SWEEP_SIZES_FAST if fast else SWEEP_SIZES_FULL
     repeats = 4 if fast else 20
@@ -79,10 +80,17 @@ def run(fast: bool = False) -> ExperimentResult:
                 "paper_grid": paper_g,
             }
         )
-    return ExperimentResult(
-        "table5",
-        "Table 5: ideal eager/rendezvous thresholds",
-        "Table 5, §4.2.2",
-        rows,
-        table.render(),
-    )
+    return {
+        "title": "Table 5: ideal eager/rendezvous thresholds",
+        "paper_ref": "Table 5, §4.2.2",
+        "rows": rows,
+        "text": table.render(),
+    }
+
+
+def shards(fast: bool = False) -> list[ShardSpec]:
+    return [ShardSpec(task_id="table5", runner=f"{__name__}:run_shard")]
+
+
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    return ExperimentResult("table5", **payloads["table5"])

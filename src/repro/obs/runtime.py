@@ -18,7 +18,7 @@ Design
 
 * **Tracks.**  Records land in the session's *current track* — a named
   bucket such as ``pingpong/grid/fully_tuned/openmpi``.  Tracks are the
-  unit of parallel merging: a sharded experiment records each shard into
+  unit of parallel merging: an experiment records each of its shards into
   the track named after its shard ``task_id``, whether the shard runs on
   a pool worker or in-process, so the exported telemetry is byte-identical
   at every ``--jobs`` value (exporters iterate tracks in sorted order,

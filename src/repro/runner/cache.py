@@ -1,22 +1,20 @@
 """Content-addressed result cache under ``.repro-cache/``.
 
-Cache keys are ``blake2b(task id | fast flag | source digest | shard
-spec | salt)``.  The source digest is *dependency-aware*: when the task's
-root module is known (every registry experiment and every shard runner),
-only the module's import closure is digested
+One namespace: every entry is the artifact of one shard, keyed by its
+``task_id`` (:class:`repro.experiments.base.ShardSpec`, e.g.
+``npb/grid16/ft`` or ``table4``) as ``blake2b(task id | fast flag |
+source digest | shard spec | salt)``.  The source digest is
+*dependency-aware*: when the shard runner's module is known, only the
+module's import closure is digested
 (:class:`repro.analysis.imports.DependencyDigests`), so touching
 ``obs/report.py`` leaves every simulation shard warm while touching
 ``tcp/congestion.py`` — which every simulated byte flows through —
-correctly invalidates them all.  Tasks without a known root (tests
-injecting ad-hoc experiments) fall back to the whole-tree digest; a
-pinned ``digest=`` disables closures entirely, preserving the historical
-"one digest per store" semantics tests rely on.  Entries are small JSON
-documents — the same structured artifacts the runner writes per run — so
-they double as machine-readable experiment records.
-
-Two task namespaces share the store: ``experiment/<id>`` for whole
-experiment results and the shard ``task_id``s of
-:class:`repro.experiments.base.ShardSpec` (e.g. ``npb/grid16/ft``).
+correctly invalidates them all.  Runner modules outside the package
+(tests injecting ad-hoc experiments) fall back to the whole-tree digest;
+a pinned ``digest=`` disables closures entirely, preserving the
+historical "one digest per store" semantics tests rely on.  Entries are
+small JSON documents (payload, wall, trace hash), so they double as
+machine-readable shard records.
 """
 
 from __future__ import annotations
@@ -394,12 +392,10 @@ class CacheStats:
     root: Path
     entries: int = 0
     total_bytes: int = 0
-    experiments: int = 0
-    shards: int = 0
     #: counters persisted by the last campaign's :meth:`ResultCache.write_stats`
     last_campaign: dict = field(default_factory=dict)
 
-    def summary_line(self) -> str:
+    def render(self) -> str:
         parts = [
             f"{self.entries} entr{'y' if self.entries == 1 else 'ies'}",
             f"{self.total_bytes} bytes",
@@ -411,14 +407,6 @@ class CacheStats:
                 f"{lc.get('misses', 0)} misses, {lc.get('stores', 0)} stored"
             )
         return f"cache {self.root}: " + ", ".join(parts)
-
-    def render(self) -> str:
-        lines = [
-            self.summary_line(),
-            f"  experiment entries: {self.experiments}",
-            f"  shard entries:      {self.shards}",
-        ]
-        return "\n".join(lines)
 
 
 def cache_stats(root: "Path | str | None" = None) -> CacheStats:
@@ -437,10 +425,6 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
             continue
         stats.entries += 1
         stats.total_bytes += size
-        if path.name.startswith("experiment_"):
-            stats.experiments += 1
-        else:
-            stats.shards += 1
     stats_path = stats.root / "stats.json"
     if stats_path.exists():
         try:

@@ -55,7 +55,6 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
                 "fast": run.fast,
                 "ok": run.ok,
                 "cached": run.cached,
-                "sharded": run.sharded,
                 "wall_s": round(run.wall_s, 3),
                 "trace_hash": run.trace_hash,
                 # Experiments that consumed the same shards: their wall_s
@@ -108,12 +107,9 @@ def record_campaign(
 
 
 def load_task_estimates(path: "Path | str | None" = None) -> dict[str, float]:
-    """Historical wall seconds per task, for the cost-model scheduler.
+    """Historical wall seconds per shard ``task_id``, for the cost-model
+    scheduler, read from the entries' ``shards`` maps.
 
-    Keys are shard ``task_id``s (from entries' ``shards`` maps) and
-    ``experiment/<id>`` (from per-experiment walls — meaningful for
-    unsharded experiments; a sharded experiment's wall is its shard sum,
-    but sharded experiments never appear as whole tasks on the pool).
     Entries are folded oldest to newest so the latest observation wins.
     Estimates are deliberately mode-agnostic (fast and full walls share a
     key): the scheduler only needs relative order within one campaign,
@@ -128,12 +124,6 @@ def load_task_estimates(path: "Path | str | None" = None) -> dict[str, float]:
         for task_id, wall in (entry.get("shards") or {}).items():
             if isinstance(wall, (int, float)) and wall >= 0:
                 estimates[task_id] = float(wall)
-        for experiment_id, record in (entry.get("experiments") or {}).items():
-            if not isinstance(record, dict) or not record.get("ok"):
-                continue
-            wall = record.get("wall_s")
-            if isinstance(wall, (int, float)) and wall >= 0:
-                estimates[f"experiment/{experiment_id}"] = float(wall)
     return estimates
 
 

@@ -2,24 +2,26 @@
 
 Execution model
 ---------------
-A campaign is a list of :class:`ExperimentSpec`.  Each experiment is first
-looked up in the result cache; misses become one task list, the same at
-every ``jobs`` value.  A sharded experiment (see
-:mod:`repro.experiments.base`) contributes its shard plan: its shards run
-as individual tasks, deduplicated campaign-wide by ``task_id`` (table6 and
-table7 share the four ray2mesh runs; figs 10/12/13 share the grid16 NPB
-points), and are merged back in the parent.  An unsharded experiment is
-one whole-experiment task.  With ``jobs <= 1`` the tasks run in-process,
-one after another; otherwise on a process-per-task engine governed by a
-:class:`RunnerPolicy`.  Shard payloads are cached by the task that
-computed them — the parent passes its cache root and source digest down
-(the digest is computed exactly once per campaign) — so a completed shard
-survives even a parent crash and is never recomputed.
+A campaign is a list of :class:`ExperimentSpec`.  Every experiment is its
+shard plan (see :mod:`repro.experiments.base`), and the shard is the only
+unit the runner executes, caches and schedules.  Each shard is first
+looked up in the result cache; the misses become one task list, the same
+at every ``jobs`` value, deduplicated campaign-wide by ``task_id``
+(table6 and table7 share the four ray2mesh runs; figs 10/12/13 share the
+grid16 NPB points).  With ``jobs <= 1`` the tasks run in-process, one
+after another; otherwise on a process-per-task engine governed by a
+:class:`RunnerPolicy`.  Every experiment is then merged in the parent from
+its shard artifacts, cached or fresh — ``merge`` is cheap — and counts as
+cached when all of its shards were.  Shard payloads are cached by the task
+that computed them — the parent passes its cache root and dependency-aware
+digest down — so a completed shard survives even a parent crash and is
+never recomputed.
 
-Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
-same hook the determinism sanitizer uses, so each artifact carries an
-event-trace hash.  A sharded experiment records the canonical combination
-of its shard hashes (:meth:`EventTraceHasher.combine`).
+Every shard runs under :func:`repro.sim.core.trace_capture`, the same hook
+the determinism sanitizer uses, from cold in-process memos
+(:func:`repro.experiments.registry.execute_shard`).  An experiment records
+the canonical combination of its shard hashes
+(:meth:`EventTraceHasher.combine`).
 
 Robustness
 ----------
@@ -47,7 +49,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Optional
 
 from repro.errors import ReproError
 from repro.mpi.tracing import EventTraceHasher
@@ -55,6 +57,10 @@ from repro.obs.runtime import TelemetryConfig, merge_payloads
 from repro.obs.runtime import session as telemetry_session
 from repro.runner.cache import ResultCache
 from repro.sim.core import trace_capture
+
+if TYPE_CHECKING:
+    from repro.experiments.base import ShardSpec
+    from repro.experiments.registry import ShardPlan
 
 #: fork keeps workers cheap and lets tests inject registry entries; fall
 #: back to the platform default where fork does not exist (Windows).
@@ -68,10 +74,10 @@ _POLL_INTERVAL_S = 0.02
 class RunnerPolicy:
     """Fault-handling knobs of the parallel engine.
 
-    ``timeout_s`` is wall-clock per *task* (one shard or one unsharded
-    experiment), not per campaign; ``None`` disables timeouts.  Crashed
-    and timed-out tasks are retried up to ``retries`` times, sleeping
-    ``backoff_s * 2**attempt`` between attempts.
+    ``timeout_s`` is wall-clock per *task* (one shard), not per campaign;
+    ``None`` disables timeouts.  Crashed and timed-out tasks are retried up
+    to ``retries`` times, sleeping ``backoff_s * 2**attempt`` between
+    attempts.
     """
 
     timeout_s: Optional[float] = None
@@ -109,10 +115,11 @@ class ExperimentRun:
     experiment_id: str
     fast: bool
     ok: bool
+    #: every shard of the experiment replayed from the result cache
     cached: bool = False
-    sharded: bool = False
-    #: aggregate worker seconds (for a sharded run: the sum over its
-    #: shards, including shards shared with other experiments)
+    #: aggregate worker seconds: the sum over its shards, including shards
+    #: shared with other experiments (a cached shard reports the wall of
+    #: the run that computed it)
     wall_s: float = 0.0
     #: other experiment ids this run shared work with (tables 6/7 share
     #: the four ray2mesh runs): experiments consuming at least one common
@@ -137,13 +144,12 @@ class ExperimentRun:
     rollup: Optional[dict] = None
 
     def artifact(self) -> dict[str, Any]:
-        """The structured JSON artifact stored in the cache / out dir."""
+        """The structured JSON artifact written to the out dir."""
         return {
             "kind": "experiment",
             "experiment_id": self.experiment_id,
             "fast": self.fast,
             "ok": self.ok,
-            "sharded": self.sharded,
             "wall_s": round(self.wall_s, 3),
             "shared_with": self.shared_with,
             "trace_hash": self.trace_hash,
@@ -154,25 +160,6 @@ class ExperimentRun:
             "text": self.text,
             "error": self.error,
         }
-
-    @classmethod
-    def from_artifact(cls, spec: ExperimentSpec, artifact: dict) -> "ExperimentRun":
-        return cls(
-            experiment_id=spec.experiment_id,
-            fast=spec.fast,
-            ok=bool(artifact.get("ok", False)),
-            cached=True,
-            sharded=bool(artifact.get("sharded", False)),
-            wall_s=float(artifact.get("wall_s", 0.0)),
-            shared_with=list(artifact.get("shared_with", [])),
-            text=artifact.get("text", ""),
-            rows=artifact.get("rows", []),
-            title=artifact.get("title", ""),
-            paper_ref=artifact.get("paper_ref", ""),
-            trace_hash=artifact.get("trace_hash", ""),
-            trace_events=int(artifact.get("trace_events", 0)),
-            error=artifact.get("error"),
-        )
 
 
 @dataclass
@@ -193,8 +180,8 @@ class CampaignResult:
     #: wall of the run that originally computed them) — the cost model's
     #: training data, recorded into the manifest
     shard_walls: dict[str, float] = field(default_factory=dict)
-    #: result-cache traffic: parent-side lookups plus every store the
-    #: campaign performed (including worker-side shard stores)
+    #: result-cache traffic: the parent's shard lookups plus every store
+    #: the campaign's shard tasks performed
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
@@ -241,10 +228,8 @@ class CampaignResult:
 
 # --- worker-side functions (module-level: picklable by reference) ----------------
 def _shard_worker(
-    runner: str,
-    params: dict,
+    shard: "ShardSpec",
     fast: bool,
-    task_id: str = "",
     cache_root: str = "",
     cache_digest: str = "",
     cache_enabled: bool = False,
@@ -253,23 +238,23 @@ def _shard_worker(
     """Execute one shard under trace capture; returns its artifact.
 
     When the parent hands down its cache coordinates, the artifact is
-    stored *here*, in the worker — the parent passes its already-computed
-    source digest (computed once per campaign), and a completed shard
-    survives even if the parent dies before collecting it.
+    stored *here*, in the worker — the parent passes the shard's
+    already-resolved digest, and a completed shard survives even if the
+    parent dies before collecting it.
     """
-    from repro.experiments.base import resolve
+    from repro.experiments.registry import execute_shard
 
     started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
     config = TelemetryConfig.from_tuple(telemetry)
     sess = None
     with trace_capture() as hasher:
         if config is None:
-            payload = resolve(runner)(fast=fast, **params)
+            payload = execute_shard(shard, fast)
         else:
             # The shard's records default into the track named after its
             # task_id — the track registry.run_plan switches to in-process.
-            with telemetry_session(config, default_track=task_id) as sess:
-                payload = resolve(runner)(fast=fast, **params)
+            with telemetry_session(config, default_track=shard.task_id) as sess:
+                payload = execute_shard(shard, fast)
     elapsed = time.monotonic() - started  # lint: disable=DET002
     artifact = {
         "kind": "shard",
@@ -280,47 +265,10 @@ def _shard_worker(
     }
     if sess is not None:
         artifact["telemetry"] = sess.to_payload()
-    if cache_enabled and task_id and cache_root:
+    if cache_enabled and cache_root:
         cache = ResultCache(root=cache_root, digest=cache_digest, enabled=True)
-        cache.store(task_id, fast, artifact)
+        cache.store(shard.task_id, fast, artifact)
     return artifact
-
-
-def _experiment_worker(
-    experiment_id: str,
-    fast: bool,
-    telemetry: "tuple[bool, bool] | None" = None,
-) -> dict:
-    """Execute one whole experiment under trace capture."""
-    from repro.experiments import run_experiment
-
-    started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
-    config = TelemetryConfig.from_tuple(telemetry)
-    sess = None
-    with trace_capture() as hasher:
-        if config is None:
-            result = run_experiment(experiment_id, fast=fast)
-        else:
-            with telemetry_session(
-                config, default_track=f"experiment/{experiment_id}"
-            ) as sess:
-                result = run_experiment(experiment_id, fast=fast)
-    elapsed = time.monotonic() - started  # lint: disable=DET002
-    # Same convention as the sanitizer: fold the rendered text so
-    # value-level divergence changes the hash too.
-    hasher.update_text(result.text)
-    payload = {
-        "wall_s": elapsed,
-        "trace_hash": hasher.hexdigest(),
-        "trace_events": hasher.events,
-        "title": result.title,
-        "paper_ref": result.paper_ref,
-        "rows": result.rows,
-        "text": result.text,
-    }
-    if sess is not None:
-        payload["telemetry"] = sess.to_payload()
-    return payload
 
 
 def _task_main(conn, target: Callable[..., Any], args: tuple) -> None:
@@ -350,7 +298,7 @@ def _describe_error(exc: BaseException) -> str:
 # --- the process-per-task engine --------------------------------------------------
 @dataclass
 class _Task:
-    """One unit of work for the engine (a shard or a whole experiment)."""
+    """One shard for the engine, keyed by ``(task_id, fast)``."""
 
     key: tuple
     target: Callable[..., Any]
@@ -497,23 +445,12 @@ def _run_tasks(
 
 # --- orchestration ---------------------------------------------------------------
 def _shard_sharers(
-    specs: list[ExperimentSpec],
+    plans: "dict[tuple[str, bool], ShardPlan]",
 ) -> dict[tuple[str, bool], list[str]]:
-    """Per spec key, the other experiment ids consuming any common shard.
-
-    Derived from the shard plans alone: sharing happens through
-    deduplicated shard tasks, at every ``jobs`` value.
-    """
-    from repro.experiments.registry import get_shard_plan
-
-    shard_ids: dict[tuple[str, bool], set[str]] = {}
-    for spec in specs:
-        try:
-            plan = get_shard_plan(spec.experiment_id, spec.fast)
-        except Exception:  # noqa: BLE001 - surfaced by the actual run
-            continue
-        if plan is not None:
-            shard_ids[spec.key] = {shard.task_id for shard in plan.shards}
+    """Per spec key, the other experiment ids consuming any common shard."""
+    shard_ids = {
+        key: {shard.task_id for shard in plan.shards} for key, plan in plans.items()
+    }
     return {
         key: sorted(
             {
@@ -526,57 +463,10 @@ def _shard_sharers(
     }
 
 
-def _run_from_worker_payload(spec: ExperimentSpec, payload: dict) -> ExperimentRun:
+def _failed_run(spec: ExperimentSpec, error: str) -> ExperimentRun:
     return ExperimentRun(
-        experiment_id=spec.experiment_id,
-        fast=spec.fast,
-        ok=True,
-        wall_s=payload["wall_s"],
-        text=payload["text"],
-        rows=payload["rows"],
-        title=payload["title"],
-        paper_ref=payload["paper_ref"],
-        trace_hash=payload["trace_hash"],
-        trace_events=payload["trace_events"],
-        telemetry=payload.get("telemetry"),
+        experiment_id=spec.experiment_id, fast=spec.fast, ok=False, error=error
     )
-
-
-def _failed_run(spec: ExperimentSpec, error: str, sharded: bool = False) -> ExperimentRun:
-    return ExperimentRun(
-        experiment_id=spec.experiment_id,
-        fast=spec.fast,
-        ok=False,
-        sharded=sharded,
-        error=error,
-    )
-
-
-def _experiment_root(experiment_id: str) -> Optional[str]:
-    """The experiment's defining module — its cache dependency root."""
-    try:
-        from repro.experiments.registry import experiment_module
-
-        return experiment_module(experiment_id)
-    except Exception:  # noqa: BLE001 - fall back to whole-tree digests
-        return None
-
-
-def _finish_run(
-    run: ExperimentRun,
-    cache: ResultCache,
-    progress: Optional[Callable[[str], None]],
-) -> None:
-    if run.ok:
-        cache.store(
-            f"experiment/{run.experiment_id}",
-            run.fast,
-            run.artifact(),
-            module=_experiment_root(run.experiment_id),
-        )
-    if progress is not None:
-        state = "failed" if not run.ok else ("cached" if run.cached else "ok")
-        progress(f"{run.experiment_id}: {run.wall_s:7.1f}s [{state}]")
 
 
 def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
@@ -589,53 +479,37 @@ def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     before everything (an unknown might *be* the long pole); ties break on
     the label so the order is deterministic for a given manifest.
     """
-
-    def estimate(task: _Task) -> float:
-        kind, ident = task.key[0], task.key[1]
-        lookup = ident if kind == "shard" else f"experiment/{ident}"
-        return estimates.get(lookup, math.inf)
-
-    tasks.sort(key=lambda task: (-estimate(task), task.label))
+    tasks.sort(key=lambda task: (-estimates.get(task.key[0], math.inf), task.label))
 
 
-def _run_misses(
-    misses: list[ExperimentSpec],
+def _run_plans(
+    specs: list[ExperimentSpec],
     cache: ResultCache,
     jobs: int,
     policy: RunnerPolicy,
-    progress: Optional[Callable[[str], None]],
     telemetry: "tuple[bool, bool] | None" = None,
     estimates: "dict[str, float] | None" = None,
 ) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
-    """Execute every cache miss: one deduplicated task list (shards plus
-    whole unsharded experiments), run in-process or on the pool, then
-    merge each sharded experiment from its shard artifacts."""
-    from repro.experiments.registry import ShardPlan, get_shard_plan
+    """Run every experiment's shard plan: load the cached shards, execute
+    the rest as one deduplicated task list (in-process or on the pool),
+    then merge each experiment from its shard artifacts."""
+    from repro.experiments.registry import get_shard_plan
 
     runs: dict[tuple[str, bool], ExperimentRun] = {}
     plans: dict[tuple[str, bool], ShardPlan] = {}
     tasks: list[_Task] = []
-    submitted: set[tuple] = set()
+    submitted: set[tuple[str, bool]] = set()
     #: (shard task_id, fast) -> completed shard artifact
     shard_results: dict[tuple[str, bool], dict] = {}
+    #: shards replayed from the cache
+    cache_hits: set[tuple[str, bool]] = set()
 
-    for spec in misses:
+    for spec in specs:
         try:
-            plan = get_shard_plan(spec.experiment_id, spec.fast)
+            plans[spec.key] = plan = get_shard_plan(spec.experiment_id, spec.fast)
         except Exception as exc:  # noqa: BLE001
             runs[spec.key] = _failed_run(spec, _describe_error(exc))
             continue
-        if plan is None:
-            tasks.append(
-                _Task(
-                    key=("experiment", spec.experiment_id, spec.fast),
-                    target=_experiment_worker,
-                    args=(spec.experiment_id, spec.fast, telemetry),
-                    label=spec.experiment_id,
-                )
-            )
-            continue
-        plans[spec.key] = plan
         for shard in plan.shards:
             shard_key = (shard.task_id, spec.fast)
             if shard_key in shard_results or shard_key in submitted:
@@ -645,20 +519,19 @@ def _run_misses(
             )
             if cached is not None:
                 shard_results[shard_key] = cached
+                cache_hits.add(shard_key)
                 continue
             submitted.add(shard_key)
             tasks.append(
                 _Task(
-                    key=("shard", shard.task_id, spec.fast),
+                    key=shard_key,
                     target=_shard_worker,
                     # The worker stores its own artifact: the parent
                     # resolves the shard's dependency-aware digest once and
                     # ships it down, so the worker never walks the tree.
                     args=(
-                        shard.runner,
-                        shard.params,
+                        shard,
                         spec.fast,
-                        shard.task_id,
                         str(cache.root),
                         cache.effective_digest(
                             module=shard.module, spec=shard.cache_spec()
@@ -673,15 +546,8 @@ def _run_misses(
     if jobs > 1:
         _order_by_cost(tasks, estimates or {})
     outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy)
-    sharers = _shard_sharers(misses)
-
-    for key, (status, payload) in outcomes.items():
-        if key[0] != "shard":
-            continue
-        shard_key = (key[1], key[2])
-        shard_results[shard_key] = (
-            payload if status == "ok" else {"error": payload}
-        )
+    for shard_key, (status, payload) in outcomes.items():
+        shard_results[shard_key] = payload if status == "ok" else {"error": payload}
         if status == "ok" and cache.enabled:
             # The worker stored its own artifact; account for it here so
             # the campaign's store counter covers shard traffic too.
@@ -692,33 +558,20 @@ def _run_misses(
         for (task_id, _fast), artifact in sorted(shard_results.items())
         if "wall_s" in artifact
     }
-
-    for spec in misses:
-        if spec.key in runs:
-            continue
-        experiment_key = ("experiment", spec.experiment_id, spec.fast)
-        if experiment_key in outcomes:
-            status, payload = outcomes[experiment_key]
-            if status == "ok":
-                run = _run_from_worker_payload(spec, payload)
-            else:
-                run = _failed_run(spec, payload)
-        else:
-            run = _merge_sharded(
-                spec,
-                plans[spec.key],
-                shard_results,
-                shared_with=sharers.get(spec.key, []),
+    sharers = _shard_sharers(plans)
+    for spec in specs:
+        if spec.key not in runs:
+            runs[spec.key] = _merge_sharded(
+                spec, plans[spec.key], shard_results, cache_hits, sharers[spec.key]
             )
-        _finish_run(run, cache, progress)
-        runs[spec.key] = run
     return runs, n_retries, n_timeouts, shard_walls
 
 
 def _merge_sharded(
     spec: ExperimentSpec,
-    plan: "Any",
+    plan: "ShardPlan",
     shard_results: dict[tuple[str, bool], dict],
+    cache_hits: "AbstractSet[tuple[str, bool]]" = frozenset(),
     shared_with: "list[str] | None" = None,
 ) -> ExperimentRun:
     payloads: dict[str, Any] = {}
@@ -739,18 +592,16 @@ def _merge_sharded(
         wall += float(artifact.get("wall_s", 0.0))
         events += int(artifact.get("trace_events", 0))
     if failed:
-        return _failed_run(
-            spec, "shard failure: " + "; ".join(failed), sharded=True
-        )
+        return _failed_run(spec, "shard failure: " + "; ".join(failed))
     try:
         result = plan.merge(payloads, fast=spec.fast)
     except Exception as exc:  # noqa: BLE001
-        return _failed_run(spec, f"merge failed: {_describe_error(exc)}", sharded=True)
+        return _failed_run(spec, f"merge failed: {_describe_error(exc)}")
     return ExperimentRun(
         experiment_id=spec.experiment_id,
         fast=spec.fast,
         ok=True,
-        sharded=True,
+        cached=all((shard.task_id, spec.fast) in cache_hits for shard in plan.shards),
         wall_s=wall,
         # Shared shard walls are counted into every consumer's wall_s;
         # this names the other experiments double-counting them.
@@ -792,12 +643,11 @@ def run_campaign(
     handling on the pool; ``jobs <= 1`` runs the same tasks in-process,
     where a hung task cannot be killed.
 
-    ``estimates`` maps task ids (shard ``task_id``s and
-    ``experiment/<id>``) to historical wall seconds; the parallel engine
-    dispatches longest-estimated-first so the makespan is not hostage to
-    a heavyweight landing last.  ``None`` loads the history recorded in
-    ``BENCH_experiments.json`` (missing file: every task is unknown and
-    the order degrades to the deterministic label order).
+    ``estimates`` maps shard ``task_id``s to historical wall seconds; the
+    parallel engine dispatches longest-estimated-first so the makespan is
+    not hostage to a heavyweight landing last.  ``None`` loads the history
+    recorded in ``BENCH_experiments.json`` (missing file: every task is
+    unknown and the order degrades to the deterministic label order).
 
     ``telemetry`` turns on the ``repro.obs`` recorder in every worker and
     attaches the merged payload to each :class:`ExperimentRun`.  Telemetry
@@ -817,33 +667,15 @@ def run_campaign(
 
         estimates = load_task_estimates()
 
-    runs: dict[tuple[str, bool], ExperimentRun] = {}
-    misses: list[ExperimentSpec] = []
-    n_retries = 0
-    n_timeouts = 0
-    shard_walls: dict[str, float] = {}
-    for spec in specs:
-        if spec.key in runs or spec in misses:
-            continue
-        artifact = cache.load(
-            f"experiment/{spec.experiment_id}",
-            spec.fast,
-            module=_experiment_root(spec.experiment_id),
-        )
-        if artifact is not None and artifact.get("ok"):
-            run = ExperimentRun.from_artifact(spec, artifact)
-            if progress is not None:
-                progress(f"{spec.experiment_id}: {run.wall_s:7.1f}s [cached]")
-            runs[spec.key] = run
-        else:
-            misses.append(spec)
-
-    if misses:
-        miss_runs, n_retries, n_timeouts, shard_walls = _run_misses(
-            misses, cache, jobs, policy, progress, telemetry_pair, estimates
-        )
-        runs.update(miss_runs)
-
+    unique = list(dict.fromkeys(specs))
+    runs, n_retries, n_timeouts, shard_walls = _run_plans(
+        unique, cache, jobs, policy, telemetry_pair, estimates
+    )
+    if progress is not None:
+        for spec in unique:
+            run = runs[spec.key]
+            state = "failed" if not run.ok else ("cached" if run.cached else "ok")
+            progress(f"{run.experiment_id}: {run.wall_s:7.1f}s [{state}]")
     ordered = [runs[spec.key] for spec in specs]
     if telemetry is not None and telemetry.spans:
         from repro.obs.aggregate import rollup as span_rollup

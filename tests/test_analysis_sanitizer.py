@@ -1,11 +1,15 @@
 """Runtime determinism sanitizer: double-run trace-hash comparison."""
 
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import sanitize, trace_experiment
 from repro.errors import ExperimentError
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, ShardSpec
+from repro.experiments.registry import run_plan
 from repro.mpi.tracing import EventTraceHasher
 from repro.sim.core import Environment, install_trace_sink, remove_trace_sink
 
@@ -33,6 +37,17 @@ def seeded_experiment(fast=True):
     env.process(proc(), name="fixture")
     env.run()
     return _result("seeded-fixture", total[0])
+
+
+#: ``seeded_experiment`` as a one-shard plan, run the way the registry runs
+#: every experiment
+SEEDED_PLAN = partial(
+    run_plan,
+    SimpleNamespace(
+        shards=lambda fast=False: [ShardSpec("seeded-fixture", f"{__name__}:seeded_experiment")],
+        merge=lambda payloads, fast=False: payloads["seeded-fixture"],
+    ),
+)
 
 
 def unseeded_experiment(fast=True):
@@ -165,7 +180,8 @@ class TestSanitize:
 
 class TestMemoClearing:
     """Sanitized runs must start with cold experiment memos: a warm memo
-    replays no simulation, so the captured trace/projection would be empty."""
+    replays no simulation, so the captured trace/projection would be empty.
+    Every shard of a plan starts cold (``registry.execute_shard``)."""
 
     def test_clear_memos_empties_every_memo(self):
         from repro.experiments import npb_runs
@@ -182,7 +198,7 @@ class TestMemoClearing:
         from repro.experiments import npb_runs
 
         npb_runs._cache[("sentinel",)] = 1.0
-        trace_experiment(seeded_experiment)
+        trace_experiment(SEEDED_PLAN)
         assert npb_runs._cache == {}
 
     def test_perturb_runs_start_cold(self):
@@ -190,6 +206,6 @@ class TestMemoClearing:
         from repro.experiments import npb_runs
 
         npb_runs._cache[("sentinel",)] = 1.0
-        report = perturb(seeded_experiment, seeds=(1,))
+        report = perturb(SEEDED_PLAN, seeds=(1,))
         assert report.passed
         assert npb_runs._cache == {}

@@ -53,6 +53,11 @@ def test_check_job_matrix_and_gate(workflow):
     assert "CI=1" in commands and "scripts/check.sh" in commands
 
 
+def test_check_job_runs_the_benchmark_harness_tests(workflow):
+    commands = _run_commands(workflow["jobs"]["check"])
+    assert "python -m pytest -p no:cacheprovider perfbench/tests" in commands
+
+
 def test_experiments_job_runs_parallel_smoke_and_uploads(workflow):
     experiments = workflow["jobs"]["experiments"]
     assert experiments["needs"] == "check"
@@ -164,7 +169,7 @@ def test_experiments_job_runs_the_perturbation_smoke(workflow):
     experiments = workflow["jobs"]["experiments"]
     commands = _run_commands(experiments)
     # all three smoke targets run under permuted same-timestamp ordering
-    # (table6 is the sharded/memoised heavyweight: its fast mode is the
+    # (table6 is the sharded heavyweight: its fast mode is the
     # CI slice of the full-scale run)...
     assert "repro sanitize" in commands and "--perturb" in commands
     assert "fig7" in commands and "faults_pingpong" in commands

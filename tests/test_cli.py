@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -117,9 +119,7 @@ def test_sanitize_perturb_passes_on_real_experiment(tmp_path, capsys):
     ) == 0
     assert "PASS" in capsys.readouterr().out
     assert out.read_text().endswith("\n")
-    import json as _json
-
-    report = _json.loads((tmp_path / "fig3.txt.perturb.json").read_text())
+    report = json.loads((tmp_path / "fig3.txt.perturb.json").read_text())
     assert report["passed"] is True
     assert [run["seed"] for run in report["runs"]] == [1, 2]
 
@@ -142,13 +142,28 @@ def test_cli_cache_stats(tmp_path, capsys):
     from repro.runner.cache import ResultCache
 
     cache = ResultCache(root=tmp_path, digest="digest-a")
-    cache.store("experiment/fig7", True, {"kind": "experiment", "experiment_id": "fig7"})
+    cache.store("table4", True, {"kind": "shard", "payload": {}})
     cache.store("npb/grid16/ft", True, {"kind": "shard", "payload": {}})
     cache.hits, cache.misses, cache.stores = 3, 1, 1
     cache.write_stats()
     assert main(["cache", "stats", "--root", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "2 entries" in out
-    assert "experiment entries: 1" in out
-    assert "shard entries:      1" in out
     assert "3 hits, 1 misses, 1 stored" in out
+
+
+def test_run_writes_a_manifest_only_with_bench(tmp_path, monkeypatch):
+    from repro.experiments import EXPERIMENTS
+
+    # "all" over a two-experiment registry: a multi-experiment campaign.
+    for experiment_id in list(EXPERIMENTS):
+        if experiment_id not in ("table1", "table3"):
+            monkeypatch.delitem(EXPERIMENTS, experiment_id)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "all", "--fast", "--no-cache", "--out", "o"]) == 0
+    assert (tmp_path / "o" / "table3.txt").exists()
+    assert not (tmp_path / "BENCH_experiments.json").exists()
+    assert main(["run", "all", "--fast", "--no-cache", "--out", "o", "--bench", "b.json"]) == 0
+    assert not (tmp_path / "BENCH_experiments.json").exists()
+    runs = json.loads((tmp_path / "b.json").read_text())["runs"]
+    assert sorted(runs[-1]["experiments"]) == ["table1", "table3"]

@@ -11,7 +11,7 @@ from repro.experiments.environments import (
     grid_placement,
     pingpong_pair,
 )
-from repro.experiments.npb_runs import clear_cache, npb_time
+from repro.experiments.npb_runs import npb_time
 from repro.runner import ExperimentSpec, run_campaign
 from repro.units import MB
 
@@ -144,11 +144,14 @@ def test_fig9_fast():
 # --- NPB figures (class A fast mode, shared cache) -----------------------------------------
 @pytest.fixture(scope="module")
 def npb_results():
-    clear_cache()
-    fig10 = run_experiment("fig10", fast=True)
-    fig12 = run_experiment("fig12", fast=True)
-    fig13 = run_experiment("fig13", fast=True)
-    return fig10, fig12, fig13
+    # One campaign, so the grid16 points run once for all three figures.
+    campaign = run_campaign(
+        [ExperimentSpec(f, fast=True) for f in ("fig10", "fig12", "fig13")],
+        jobs=1,
+        use_cache=False,
+    )
+    assert campaign.ok, campaign.summary()
+    return campaign.runs
 
 
 def test_fig10_gridmpi_wins_collectives(npb_results):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import NetworkConfigError
 from repro.net import Flow, FluidNetwork, Pipe
+from repro.net.fluid import _EPS
 from repro.sim import Environment
 from repro.units import Gbps, MB, Mbps
 
@@ -202,18 +203,101 @@ def test_many_sequential_flows_cleanup(env, net):
 # -- differential oracle: incremental allocator vs the legacy global solve ----
 #
 # The incremental allocator must agree with the pre-rewrite full-network
-# progressive filling (selected by ``network._legacy``) on arbitrary workload
+# progressive filling (``LegacyFluidNetwork``) on arbitrary workload
 # histories: flow starts and finishes, rate cap moves, capacity changes and
 # link flaps.  Rates may differ by float ulps (the two solvers associate the
 # fill arithmetic differently); completion times must match exactly, since
 # they are what the reports are built from.
 
 
+def progressive_filling(flows: "list[Flow]") -> dict[Flow, float]:
+    """Max-min fair allocation with per-flow rate caps (global solve).
+
+    ``flows`` arrives in uid order and the returned dict preserves it,
+    so callers iterate deterministically.  The sets used internally
+    only feed order-independent arithmetic (min/sum/membership).
+    """
+    if not flows:
+        return {}
+    level: dict[Flow, float] = {f: 0.0 for f in flows}
+    active: set[Flow] = set(flows)
+    pipes: set[Pipe] = {p for f in flows for p in f.pipes}
+    remaining: dict[Pipe, float] = {p: p.capacity_bps for p in pipes}
+
+    while active:
+        # Equal-increment step: how much can every active flow still grow?
+        increment = math.inf
+        for pipe in pipes:
+            n_active = sum(1 for f in pipe.flows if f in active)
+            if n_active:
+                increment = min(increment, remaining[pipe] / n_active)
+        for flow in active:
+            increment = min(increment, flow.rate_cap_bps - level[flow])
+        if not math.isfinite(increment):
+            # Only uncapped flows on unconstrained pipes — impossible,
+            # every flow crosses at least one finite pipe.
+            raise NetworkConfigError("progressive filling diverged")
+
+        for flow in active:
+            level[flow] += increment
+        for pipe in pipes:
+            n_active = sum(1 for f in pipe.flows if f in active)
+            remaining[pipe] -= increment * n_active
+
+        # Freeze flows that hit their cap or sit on a saturated pipe.
+        # The cap test is relative, like the pipe test: ``level +=
+        # (cap - level)`` can undershoot the cap by an ulp of the cap
+        # (~1e-7 at Gbps scale), and an absolute 1e-12 tolerance would
+        # miss that, dropping into the freeze-everything corner below
+        # and pinning unrelated flows at this level.  (inf caps stay
+        # unfreezable: ``inf * (1 - eps) - eps`` is still inf.)
+        saturated = {p for p in pipes if remaining[p] <= _EPS * p.capacity_bps + _EPS}
+        newly_frozen = {
+            f
+            for f in active
+            if level[f] >= f.rate_cap_bps * (1.0 - _EPS) - _EPS
+            or any(p in saturated for p in f.pipes)
+        }
+        if not newly_frozen:
+            # Numerical corner: freeze everything to guarantee progress.
+            break
+        active -= newly_frozen
+    return level
+
+
+class LegacyFluidNetwork(FluidNetwork):
+    """The pre-rewrite allocator: every mutation re-solves all active flows."""
+
+    def _recompute(self, dirty_pipes):
+        """Re-allocate rates for all active flows and reschedule completions.
+
+        Flows are visited in creation (uid) order: iterating the raw set
+        would schedule completion timers in id()-dependent order, giving
+        same-time events different queue sequence numbers from run to run.
+        """
+        self.recomputations += 1
+        self.solve_rounds += 1
+        ordered = sorted(self.flows, key=lambda f: f.uid)
+        for flow in ordered:
+            self._settle(flow)
+
+        rates = progressive_filling(ordered)
+
+        for flow, rate in rates.items():
+            if abs(rate - flow.rate_bps) <= _EPS * max(rate, flow.rate_bps, 1.0):
+                continue
+            flow.rate_bps = rate
+            flow._version += 1
+            if rate <= _EPS:
+                continue
+            eta = flow.remaining_bits / rate
+            self._schedule_completion(flow, eta, flow._version)
+
+
 def _drive_workload(seed, legacy):
     """Run a randomized flow history; return (snapshots, completions, network)."""
     env = Environment()
-    network = FluidNetwork(env)
-    network._legacy = legacy
+    network = (LegacyFluidNetwork if legacy else FluidNetwork)(env)
     rng = random.Random(seed)
     pipes = [
         Pipe(f"p{i}", rng.choice([1e8, 2.5e8, 9.37e8, 1e9, 1e10]))

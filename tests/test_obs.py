@@ -255,7 +255,7 @@ def test_campaign_without_telemetry_attaches_none(tmp_path):
     "experiment_id",
     [
         "fig6",  # pingpong sweep, sharded per curve
-        "fig11",  # NPB figure, sharded per benchmark point (memoised serially)
+        "fig11",  # NPB figure, sharded per benchmark point
         "faults_pingpong",  # fault sweep, sharded per curve
     ],
 )

@@ -1,8 +1,8 @@
 """Runner subsystem: cache semantics, parallel/serial identity, failures.
 
-The fake experiments below are injected into the live registry dict; the
-pool uses the fork start method (skipped where unavailable), so worker
-processes inherit the injected entries without pickling the functions.
+The fake experiments below are one-shard plans injected into the live
+registry; the pool uses the fork start method (skipped where unavailable),
+so worker processes inherit the injected entries without pickling them.
 """
 
 import importlib.util
@@ -38,27 +38,59 @@ needs_fork = pytest.mark.skipif(
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _tiny_experiment(fast=False):
-    return ExperimentResult("tiny", "Tiny", "Table 0", [{"x": 1}], "tiny report")
+def _tiny_shard(fast=False):
+    return {"title": "Tiny", "paper_ref": "Table 0", "rows": [{"x": 1}], "text": "tiny report"}
 
 
-def _raising_experiment(fast=False):
+def _raising_shard(fast=False):
     raise RuntimeError("synthetic experiment failure")
 
 
-def _crashing_experiment(fast=False):
+def _crashing_shard(fast=False):
     os._exit(3)  # simulate a worker segfault: no exception, no cleanup
 
 
-def _hanging_experiment(fast=False):
+def _hanging_shard(fast=False):
     time.sleep(60)  # a stuck shard: only the supervisor's timeout ends it
-    return _tiny_experiment(fast)
+    return _tiny_shard(fast)
+
+
+def _flaky_shard(marker, fast=False):
+    marker = pathlib.Path(marker)
+    if not marker.exists():
+        marker.write_text("first attempt crashed")
+        os._exit(9)
+    return {"title": "Flaky", "paper_ref": "-", "rows": [{"x": 1}], "text": "flaky ok"}
+
+
+def _register(monkeypatch, experiment_id, module):
+    """Inject ``module``'s shard plan as experiment ``experiment_id``."""
+    monkeypatch.setitem(registry.MODULES, experiment_id, module)
+    monkeypatch.setitem(EXPERIMENTS, experiment_id, partial(registry.run_plan, module))
+    return experiment_id
+
+
+def _one_shard(monkeypatch, experiment_id, runner, **params):
+    """Register a one-shard experiment whose shard ``task_id`` is its id."""
+
+    def shards(fast=False):
+        return [ShardSpec(experiment_id, f"{__name__}:{runner}", params)]
+
+    def merge(payloads, fast=False):
+        return ExperimentResult(experiment_id, **payloads[experiment_id])
+
+    return _register(monkeypatch, experiment_id, SimpleNamespace(shards=shards, merge=merge))
+
+
+def _entry_path(cache, experiment_id):
+    """Cache entry of a one-shard experiment."""
+    (shard,) = get_shard_plan(experiment_id, fast=True).shards
+    return cache.path(shard.task_id, True, module=shard.module, spec=shard.cache_spec())
 
 
 @pytest.fixture()
 def tiny(monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
-    return "tiny"
+    return _one_shard(monkeypatch, "tiny", "_tiny_shard")
 
 
 # --- cache semantics --------------------------------------------------------------
@@ -126,7 +158,7 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
         out_dir=tmp_path / "out",
     )
     run = campaign.runs[0]
-    assert run.ok and run.sharded
+    assert run.ok
     assert run.text == direct.text
     # the written report is the golden format: text + wall/fast footer
     written = (tmp_path / "out" / "fig6.txt").read_text()
@@ -152,8 +184,12 @@ def test_shard_plans_dedupe_across_experiments():
     assert grid16 <= {s.task_id for s in get_shard_plan("fig13", fast=True).shards}
 
 
-def test_unsharded_experiments_have_no_plan():
-    assert get_shard_plan("table1", fast=True) is None
+def test_every_experiment_has_a_plan():
+    assert len(EXPERIMENTS) == 19
+    for experiment_id in EXPERIMENTS:
+        assert get_shard_plan(experiment_id, fast=True).shards, experiment_id
+    (table1,) = get_shard_plan("table1", fast=True).shards
+    assert table1.task_id == "table1"
 
 
 #: tags of the shards :func:`_counted_shard` executed in this process
@@ -187,9 +223,7 @@ def _plan_experiment(experiment_id: str, tags: tuple[str, ...]) -> SimpleNamespa
 
 def test_serial_campaign_runs_a_shared_shard_once(tmp_path, monkeypatch):
     for experiment_id, tags in (("left", ("shared", "left")), ("right", ("shared", "right"))):
-        module = _plan_experiment(experiment_id, tags)
-        monkeypatch.setitem(registry.MODULES, experiment_id, module)
-        monkeypatch.setitem(EXPERIMENTS, experiment_id, partial(registry.run_plan, module))
+        _register(monkeypatch, experiment_id, _plan_experiment(experiment_id, tags))
     _SHARD_CALLS.clear()
     campaign = run_campaign(
         [ExperimentSpec("left", fast=True), ExperimentSpec("right", fast=True)],
@@ -206,9 +240,32 @@ def test_serial_campaign_runs_a_shared_shard_once(tmp_path, monkeypatch):
     assert _SHARD_CALLS == ["shared", "right"]
 
 
+def test_consecutive_in_process_campaigns_start_cold(monkeypatch):
+    """Regression: the NPB point memo outlived a campaign, so a second
+    in-process campaign replayed it and reported 0 trace events."""
+    from repro.experiments import npb_runs
+
+    (ep,) = [s for s in npb_runs.npb_point_shards(("grid4",)) if s.task_id.endswith("/ep")]
+    module = SimpleNamespace(
+        shards=lambda fast=False: [ep],
+        merge=lambda payloads, fast=False: ExperimentResult(
+            "ep_grid4", "EP", "-", [], repr(payloads[ep.task_id])
+        ),
+    )
+    _register(monkeypatch, "ep_grid4", module)
+    first, second = (
+        run_campaign([ExperimentSpec("ep_grid4", fast=True)], jobs=1, use_cache=False).runs[0]
+        for _ in range(2)
+    )
+    assert first.ok and second.ok
+    assert first.trace_events > 0
+    assert second.trace_events == first.trace_events
+    assert second.trace_hash == first.trace_hash
+
+
 # --- failure surfacing ------------------------------------------------------------
 def test_raising_experiment_fails_without_aborting_campaign(tmp_path, monkeypatch, tiny):
-    monkeypatch.setitem(EXPERIMENTS, "boom", _raising_experiment)
+    _one_shard(monkeypatch, "boom", "_raising_shard")
     campaign = run_campaign(
         [ExperimentSpec("boom", fast=True), ExperimentSpec(tiny, fast=True)],
         cache=ResultCache(root=tmp_path, digest="digest-a"),
@@ -228,7 +285,7 @@ def test_raising_experiment_fails_without_aborting_campaign(tmp_path, monkeypatc
 
 @needs_fork
 def test_raising_experiment_fails_on_the_pool_too(tmp_path, monkeypatch, tiny):
-    monkeypatch.setitem(EXPERIMENTS, "boom", _raising_experiment)
+    _one_shard(monkeypatch, "boom", "_raising_shard")
     campaign = run_campaign(
         [ExperimentSpec("boom", fast=True), ExperimentSpec(tiny, fast=True)],
         jobs=2,
@@ -241,7 +298,7 @@ def test_raising_experiment_fails_on_the_pool_too(tmp_path, monkeypatch, tiny):
 
 @needs_fork
 def test_worker_crash_surfaces_as_failure_not_hang(tmp_path, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "crash", _crashing_experiment)
+    _one_shard(monkeypatch, "crash", "_crashing_shard")
     campaign = run_campaign(
         [ExperimentSpec("crash", fast=True)],
         jobs=2,
@@ -254,7 +311,7 @@ def test_worker_crash_surfaces_as_failure_not_hang(tmp_path, monkeypatch):
 # --- robustness policy: timeouts, retries, graceful degradation -------------------
 @needs_fork
 def test_hung_task_times_out_retries_then_fails(tmp_path, monkeypatch, tiny):
-    monkeypatch.setitem(EXPERIMENTS, "hang", _hanging_experiment)
+    _one_shard(monkeypatch, "hang", "_hanging_shard")
     campaign = run_campaign(
         [ExperimentSpec("hang", fast=True), ExperimentSpec(tiny, fast=True)],
         jobs=2,
@@ -276,15 +333,7 @@ def test_hung_task_times_out_retries_then_fails(tmp_path, monkeypatch, tiny):
 
 @needs_fork
 def test_crashed_task_recovers_on_retry(tmp_path, monkeypatch):
-    marker = tmp_path / "crashed-once"
-
-    def flaky(fast=False):
-        if not marker.exists():
-            marker.write_text("first attempt crashed")
-            os._exit(9)
-        return ExperimentResult("flaky", "Flaky", "-", [{"x": 1}], "flaky ok")
-
-    monkeypatch.setitem(EXPERIMENTS, "flaky", flaky)
+    _one_shard(monkeypatch, "flaky", "_flaky_shard", marker=str(tmp_path / "crashed-once"))
     campaign = run_campaign(
         [ExperimentSpec("flaky", fast=True)],
         jobs=2,
@@ -299,7 +348,7 @@ def test_crashed_task_recovers_on_retry(tmp_path, monkeypatch):
 
 @needs_fork
 def test_crashing_task_exhausts_retries_with_attempt_count(tmp_path, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "crash", _crashing_experiment)
+    _one_shard(monkeypatch, "crash", "_crashing_shard")
     campaign = run_campaign(
         [ExperimentSpec("crash", fast=True)],
         jobs=2,
@@ -314,7 +363,7 @@ def test_crashing_task_exhausts_retries_with_attempt_count(tmp_path, monkeypatch
 
 @needs_fork
 def test_retry_and_timeout_counters_reach_the_manifest(tmp_path, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "hang", _hanging_experiment)
+    _one_shard(monkeypatch, "hang", "_hanging_shard")
     campaign = run_campaign(
         [ExperimentSpec("hang", fast=True)],
         jobs=2,
@@ -346,7 +395,7 @@ def test_workers_store_with_the_parent_digest(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="pinned-digest")
     campaign = run_campaign([ExperimentSpec(tiny, fast=True)], jobs=2, cache=cache)
     assert campaign.ok
-    assert cache.path("experiment/tiny", True).exists()
+    assert _entry_path(cache, tiny).exists()
     rerun = run_campaign([ExperimentSpec(tiny, fast=True)], jobs=2, cache=cache)
     assert rerun.runs[0].cached
 
@@ -354,26 +403,26 @@ def test_workers_store_with_the_parent_digest(tmp_path, tiny):
 # --- cache corruption: miss + evict + warn ----------------------------------------
 def test_corrupt_cache_entry_is_a_miss_and_gets_evicted(tmp_path, caplog):
     cache = ResultCache(root=tmp_path, digest="digest-a")
-    cache.store("experiment/tiny", True, {"ok": True})
-    path = cache.path("experiment/tiny", True)
+    cache.store("tiny", True, {"ok": True})
+    path = cache.path("tiny", True)
     path.write_text("{ truncated garbage", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
-        assert cache.load("experiment/tiny", True) is None
+        assert cache.load("tiny", True) is None
     assert not path.exists()  # evicted, cannot shadow the recomputed entry
     assert "evicted corrupt cache entry" in caplog.text
     assert "malformed JSON" in caplog.text
     # the slot is reusable immediately
-    cache.store("experiment/tiny", True, {"ok": True})
-    assert cache.load("experiment/tiny", True) == {"ok": True}
+    cache.store("tiny", True, {"ok": True})
+    assert cache.load("tiny", True) == {"ok": True}
 
 
 def test_wrong_shape_cache_document_is_evicted(tmp_path, caplog):
     cache = ResultCache(root=tmp_path, digest="digest-a")
-    path = cache.path("experiment/tiny", True)
+    path = cache.path("tiny", True)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"schema": 1, "artifact": "not a dict"}))
     with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
-        assert cache.load("experiment/tiny", True) is None
+        assert cache.load("tiny", True) is None
     assert not path.exists()
     assert "unexpected document shape" in caplog.text
 
@@ -381,7 +430,7 @@ def test_wrong_shape_cache_document_is_evicted(tmp_path, caplog):
 def test_corrupt_entry_forces_recompute_then_reheals(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="digest-a")
     run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    cache.path("experiment/tiny", True).write_text("not json at all")
+    _entry_path(cache, tiny).write_text("not json at all")
     rerun = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
     assert rerun.runs[0].ok
     assert not rerun.runs[0].cached  # corruption degraded to a recompute
@@ -401,7 +450,7 @@ def _load_wrapper():
 
 def test_run_all_wrapper_reports_failures_with_exit_code(tmp_path, monkeypatch, tiny, capsys):
     wrapper = _load_wrapper()
-    monkeypatch.setitem(EXPERIMENTS, "boom", _raising_experiment)
+    _one_shard(monkeypatch, "boom", "_raising_shard")
     monkeypatch.chdir(tmp_path)  # manifest + cache land in the tmp dir
     # A stale report from an earlier run must not survive the failure.
     (tmp_path / "out").mkdir()
@@ -542,23 +591,21 @@ def test_result_cache_prune_wrapper(tmp_path, tiny):
 def test_shard_sharers_links_table6_and_table7():
     from repro.runner.pool import _shard_sharers
 
-    specs = [
-        ExperimentSpec("table6", fast=True),
-        ExperimentSpec("table7", fast=True),
-        ExperimentSpec("table1", fast=True),  # unsharded: no entry at all
-    ]
-    sharers = _shard_sharers(specs)
+    plans = {
+        (experiment_id, True): get_shard_plan(experiment_id, fast=True)
+        for experiment_id in ("table6", "table7", "table1")
+    }
+    sharers = _shard_sharers(plans)
     assert sharers[("table6", True)] == ["table7"]
     assert sharers[("table7", True)] == ["table6"]
-    assert ("table1", True) not in sharers
+    assert sharers[("table1", True)] == []
 
 
 def test_merge_attributes_shared_shard_wall_to_every_consumer():
     """Regression: table7 used to record wall_s=0.0 because all shard wall
     time landed on table6; every consumer must count the shared shards and
     say who else did."""
-    from repro.experiments.base import ExperimentResult, ShardSpec
-    from repro.runner.pool import ExperimentRun, _merge_sharded
+    from repro.runner.pool import _merge_sharded
 
     shards = tuple(
         ShardSpec(task_id=f"ray2mesh/{site}", runner="unused:unused")
@@ -587,12 +634,9 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
     assert run.wall_s == pytest.approx(12.5)
     assert run.shared_with == ["table6"]
 
-    # The attribution survives the artifact round trip and the manifest.
-    revived = ExperimentRun.from_artifact(
-        ExperimentSpec("table7", fast=True), run.artifact()
-    )
-    assert revived.shared_with == ["table6"]
-    assert revived.wall_s == pytest.approx(12.5)
+    # The attribution reaches the written artifact.
+    assert run.artifact()["shared_with"] == ["table6"]
+    assert run.artifact()["wall_s"] == pytest.approx(12.5)
 
 
 def test_manifest_entry_records_shared_with(tmp_path, tiny):
@@ -601,10 +645,7 @@ def test_manifest_entry_records_shared_with(tmp_path, tiny):
 
     campaign = CampaignResult(
         runs=[
-            ExperimentRun(
-                "table7", True, ok=True, sharded=True,
-                wall_s=12.5, shared_with=["table6"],
-            ),
+            ExperimentRun("table7", True, ok=True, wall_s=12.5, shared_with=["table6"]),
             ExperimentRun("tiny", True, ok=True, wall_s=0.1),
         ],
         wall_s=12.6,
@@ -624,12 +665,10 @@ def test_order_by_cost_longest_first():
         pass
 
     tasks = [
-        _Task(key=("shard", "a", True), target=noop, args=(), label="a"),
-        _Task(key=("shard", "b", True), target=noop, args=(), label="b"),
-        _Task(key=("experiment", "x", True), target=noop, args=(), label="x"),
-        _Task(key=("shard", "new", True), target=noop, args=(), label="new"),
+        _Task(key=(label, True), target=noop, args=(), label=label)
+        for label in ("a", "b", "x", "new")
     ]
-    estimates = {"a": 1.0, "b": 30.0, "experiment/x": 5.0}
+    estimates = {"a": 1.0, "b": 30.0, "x": 5.0}
     _order_by_cost(tasks, estimates)
     # Unknown history first (it might be the long pole), then descending.
     assert [t.label for t in tasks] == ["new", "b", "x", "a"]
@@ -639,7 +678,7 @@ def test_order_by_cost_without_history_is_label_order():
     from repro.runner.pool import _Task, _order_by_cost
 
     tasks = [
-        _Task(key=("shard", n, True), target=None, args=(), label=n)
+        _Task(key=(n, True), target=None, args=(), label=n)
         for n in ("c", "a", "b")
     ]
     _order_by_cost(tasks, {})
@@ -665,8 +704,7 @@ def test_load_task_estimates_latest_wins(tmp_path):
     ]}), encoding="utf-8")
     estimates = load_task_estimates(manifest)
     assert estimates["npb/grid16/ft"] == 4.5  # newest entry wins
-    assert estimates["experiment/fig3"] == 1.0
-    assert "experiment/broken" not in estimates  # failures are not history
+    assert set(estimates) == {"npb/grid16/ft"}  # shards are the only tasks
 
 
 def test_load_task_estimates_missing_manifest(tmp_path):
